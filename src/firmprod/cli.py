@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import click
@@ -25,7 +26,6 @@ from ._emit import atomic_write_text, config_hash, header_lines, write_table
 from .equilibrium import (
     AdaptiveStep,
     FixedStep,
-    MarketContext,
     TheoryFirm,
     marginal_labor_productivity,
     simulate_reallocation,
@@ -34,28 +34,13 @@ from .errors import ConfigError, DataError, NumericalError
 from .ingest import (
     CsvSchema,
     Dataset,
-    FirmRecord,
     ParseReport,
     filter_dataset,
     parse_firm_records,
     write_firm_records,
 )
-from .measures import (
-    MacroContext,
-    ValueBasis,
-    aggregate_by_sector,
-    gdp_coverage,
-    labor_productivity,
-    size_sweep,
-)
-from .pareto import (
-    TailSpec,
-    default_tail,
-    fit_pareto,
-    pareto_time_series,
-    productivity_values,
-    rank_size,
-)
+from .measures import Evaluation, MacroContext, ValueBasis, evaluate, gdp_coverage
+from .pareto import TailSpec, default_tail, fit_pareto, fit_years, level_values, rank_size
 from .production import classify_returns, fit_by_stratum
 from .synth import SynthSpec, gen_cobb_douglas_firms
 
@@ -139,32 +124,20 @@ def _load_macro(macro_path: str | None) -> MacroContext | None:
     return MacroContext.from_json(macro_path) if macro_path else None
 
 
-def _usable_firm_rows(
-    dataset: Dataset, basis: ValueBasis, ctx: MacroContext | None
-) -> tuple[list[tuple[FirmRecord, float]], int]:
-    """Per-record productivity, skipping records the basis cannot evaluate."""
-    rows: list[tuple[FirmRecord, float]] = []
-    skipped = 0
-    for record in dataset.records:
-        try:
-            measure = labor_productivity(record, basis, ctx)
-        except DataError:
-            skipped += 1
-            continue
-        rows.append((record, measure.value))
-    return rows, skipped
+def _evaluate_input(input_path: str, schema_path: str | None, strict: bool,
+                    macro_path: str | None, basis: str,
+                    year: int | None = None) -> tuple[Evaluation, MacroContext | None]:
+    """Parse the input, keep one year if asked, and evaluate each record once."""
+    dataset = _load(input_path, schema_path, strict).dataset
+    ctx = _load_macro(macro_path)
+    if year is not None:
+        dataset = filter_dataset(dataset, year=year)
+    return evaluate(dataset, _BASIS_FLAGS[basis], ctx), ctx
 
 
-def _usable_dataset(
-    dataset: Dataset, basis: ValueBasis, ctx: MacroContext | None
-) -> tuple[Dataset, int]:
-    rows, skipped = _usable_firm_rows(dataset, basis, ctx)
-    kept = Dataset(
-        records=tuple(record for record, _ in rows),
-        currency_unit=dataset.currency_unit,
-        provenance=dataset.provenance,
-    )
-    return kept, skipped
+def _echo_excluded(ev: Evaluation) -> None:
+    if ev.excluded:
+        click.echo(f"excluded {ev.excluded} records the basis could not evaluate", err=True)
 
 
 def _log10_or_none(value: float) -> float | None:
@@ -234,12 +207,7 @@ def ingest(input_path: str, schema_path: str | None, strict: bool, out_dir: str,
 def measures(input_path: str, schema_path: str | None, macro_path: str | None, basis: str,
              year: int | None, mode: str, strict: bool, out_dir: str, fmt: str) -> None:
     """Per-firm and per-sector productivity tables plus GDP coverage."""
-    report = _load(input_path, schema_path, strict)
-    ctx = _load_macro(macro_path)
-    value_basis = _BASIS_FLAGS[basis]
-    dataset = filter_dataset(report.dataset, year=year)
-
-    firm_rows, skipped = _usable_firm_rows(dataset, value_basis, ctx)
+    ev, ctx = _evaluate_input(input_path, schema_path, strict, macro_path, basis, year)
     cfg = config_hash({"command": "measures", "input": input_path, "schema": schema_path,
                        "macro": macro_path, "basis": basis, "year": year, "mode": mode})
 
@@ -247,10 +215,10 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
     firm_table = [
         (
             r.firm_id, r.year, r.country, r.sector, r.sector_class, r.workers,
-            value * r.workers, value,
-            _log10_or_none(float(r.workers)), _log10_or_none(value),
+            value, productivity,
+            _log10_or_none(float(r.workers)), _log10_or_none(productivity),
         )
-        for r, value in firm_rows
+        for r, value, productivity in zip(ev.records, ev.values.tolist(), ev.productivity.tolist())
     ]
     firm_target = write_table(
         out / "firm_productivity",
@@ -259,12 +227,7 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
         firm_table, cfg, fmt,
     )
 
-    kept = Dataset(
-        records=tuple(r for r, _ in firm_rows),
-        currency_unit=dataset.currency_unit,
-        provenance=dataset.provenance,
-    )
-    aggregates = aggregate_by_sector(kept, value_basis, ctx, mode=mode)
+    aggregates = ev.pool_by(attrgetter("sector"), mode)
     sector_table = [
         (sector, agg.n_firms, agg.total_value, agg.total_workers, agg.productivity,
          _log10_or_none(agg.productivity))
@@ -278,11 +241,10 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
     )
 
     if ctx is not None:
-        coverage_basis = (
-            value_basis
-            if value_basis is not ValueBasis.GROSS_MARGIN
-            else ValueBasis.ADDED_VALUE_LABOR_SHARE
-        )
+        coverage_basis = _BASIS_FLAGS[basis]
+        if coverage_basis is ValueBasis.GROSS_MARGIN:
+            coverage_basis = ValueBasis.ADDED_VALUE_LABOR_SHARE
+        kept = Dataset(records=ev.records)
         coverage_rows = []
         for country, yr in sorted({(r.country, r.year) for r in kept.records}):
             try:
@@ -294,9 +256,8 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
             write_table(out / "gdp_coverage", ("country", "year", "coverage"),
                         coverage_rows, cfg, fmt)
 
-    if skipped:
-        click.echo(f"excluded {skipped} records the basis could not evaluate", err=True)
-    click.echo(f"wrote measures for {len(firm_rows)} firms to {out} ({firm_target.suffix[1:]})")
+    _echo_excluded(ev)
+    click.echo(f"wrote measures for {len(ev.records)} firms to {out} ({firm_target.suffix[1:]})")
 
 
 @main.command("fit-production")
@@ -359,14 +320,9 @@ def fit_pareto_cmd(input_path: str, schema_path: str | None, macro_path: str | N
                    basis: str, level: str, tail_text: str | None, year: int | None,
                    strict: bool, out_dir: str, fmt: str) -> None:
     """Rank-size series and power-law tail fit of productivity."""
-    report = _load(input_path, schema_path, strict)
-    ctx = _load_macro(macro_path)
-    value_basis = _BASIS_FLAGS[basis]
-    dataset = filter_dataset(report.dataset, year=year)
-    kept, _ = _usable_dataset(dataset, value_basis, ctx)
-
+    ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis, year)
     tail = TailSpec.parse(tail_text) if tail_text else default_tail(level)
-    series = rank_size(productivity_values(kept, level, value_basis, ctx))
+    series = rank_size(level_values(ev, level))
     fit = fit_pareto(series, tail)
 
     cfg = config_hash({"command": "fit-pareto", "input": input_path, "schema": schema_path,
@@ -406,14 +362,10 @@ def pareto_series(input_path: str, schema_path: str | None, macro_path: str | No
                   basis: str, level: str, tail_text: str | None, strict: bool,
                   out_dir: str, fmt: str) -> None:
     """Tail-exponent fit per year."""
-    report = _load(input_path, schema_path, strict)
-    ctx = _load_macro(macro_path)
-    value_basis = _BASIS_FLAGS[basis]
-    kept, _ = _usable_dataset(report.dataset, value_basis, ctx)
-
+    ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
     tail = TailSpec.parse(tail_text) if tail_text else default_tail(level)
-    per_year = {yr: filter_dataset(kept, year=yr) for yr in kept.years()}
-    fits = pareto_time_series(per_year, level, value_basis, ctx, tail)
+    per_year = ev.split(attrgetter("year"))
+    fits = fit_years(per_year, lambda part: level_values(part, level), tail)
 
     cfg = config_hash({"command": "pareto-series", "input": input_path,
                        "schema": schema_path, "macro": macro_path, "basis": basis,
@@ -439,24 +391,12 @@ def pareto_series(input_path: str, schema_path: str | None, macro_path: str | No
 def prod_series(input_path: str, schema_path: str | None, macro_path: str | None,
                 basis: str, mode: str, strict: bool, out_dir: str, fmt: str) -> None:
     """Pooled productivity by sector class over time."""
-    report = _load(input_path, schema_path, strict)
-    ctx = _load_macro(macro_path)
-    value_basis = _BASIS_FLAGS[basis]
-    firm_rows, skipped = _usable_firm_rows(report.dataset, value_basis, ctx)
-
-    groups: dict[tuple[int, str], list[tuple[FirmRecord, float]]] = {}
-    for record, value in firm_rows:
-        groups.setdefault((record.year, record.sector_class), []).append((record, value))
-
-    rows = []
-    for (yr, sector_class), members in sorted(groups.items()):
-        total_value = sum(v * r.workers for r, v in members)
-        total_workers = sum(r.workers for r, _ in members)
-        if mode == "pooled":
-            productivity = total_value / total_workers
-        else:
-            productivity = sum(v for _, v in members) / len(members)
-        rows.append((yr, sector_class, len(members), total_value, total_workers, productivity))
+    ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
+    series = ev.pool_by(attrgetter("year", "sector_class"), mode)
+    rows = [
+        (yr, sector_class, agg.n_firms, agg.total_value, agg.total_workers, agg.productivity)
+        for (yr, sector_class), agg in sorted(series.items())
+    ]
 
     cfg = config_hash({"command": "prod-series", "input": input_path, "schema": schema_path,
                        "macro": macro_path, "basis": basis, "mode": mode})
@@ -465,8 +405,7 @@ def prod_series(input_path: str, schema_path: str | None, macro_path: str | None
         ("year", "sector_class", "n_firms", "total_value", "total_workers", "productivity"),
         rows, cfg, fmt,
     )
-    if skipped:
-        click.echo(f"excluded {skipped} records the basis could not evaluate", err=True)
+    _echo_excluded(ev)
     click.echo(f"wrote {len(rows)} series points to {target}")
 
 
@@ -490,14 +429,9 @@ def size_sweep_cmd(input_path: str, schema_path: str | None, macro_path: str | N
         cuts = [int(part) for part in thresholds.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --thresholds {thresholds!r}: {exc}") from exc
-    report = _load(input_path, schema_path, strict)
-    ctx = _load_macro(macro_path)
-    value_basis = _BASIS_FLAGS[basis]
-    dataset = filter_dataset(report.dataset, year=year)
-    kept, skipped = _usable_dataset(dataset, value_basis, ctx)
-
+    ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis, year)
     try:
-        sweep = size_sweep(kept, cuts, value_basis, ctx, mode=mode)
+        sweep = ev.sweep(cuts, mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -507,20 +441,18 @@ def size_sweep_cmd(input_path: str, schema_path: str | None, macro_path: str | N
     rows = list(sweep.items())
     target = write_table(Path(out_dir) / "size_sweep", ("threshold", "productivity"),
                          rows, cfg, fmt)
-    if skipped:
-        click.echo(f"excluded {skipped} records the basis could not evaluate", err=True)
+    _echo_excluded(ev)
     click.echo(f"wrote {len(rows)} sweep points to {target}")
 
 
-def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], MarketContext,
-                                            FixedStep | AdaptiveStep, float, int, float]:
+def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | AdaptiveStep,
+                                            float, int, float]:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or "firms" not in raw:
         raise ConfigError(f"{path}: scenario must be a JSON object with a 'firms' list")
     try:
         firms = [TheoryFirm(**entry) for entry in raw["firms"]]
-        market = MarketContext(**raw.get("market", {}))
         rule_raw = raw.get("step_rule", {"kind": "adaptive"})
         kind = rule_raw.get("kind", "adaptive")
         if kind == "adaptive":
@@ -534,18 +466,18 @@ def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], MarketContext,
         floor = float(raw.get("labor_floor", 1e-9))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad scenario: {exc}") from exc
-    return firms, market, rule, tol, max_iter, floor
+    return firms, rule, tol, max_iter, floor
 
 
 @main.command()
 @click.option("--scenario", "scenario_path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="JSON scenario: firms, market, step_rule, tol, max_iter.")
+              required=True, help="JSON scenario: firms, step_rule, tol, max_iter.")
 @_out_option
 @_format_option
 def simulate(scenario_path: str, out_dir: str, fmt: str) -> None:
     """Run the labor-reallocation simulator and emit its trace."""
-    firms, market, rule, tol, max_iter, floor = _scenario_from_json(scenario_path)
-    trace = simulate_reallocation(firms, market, rule, tol=tol, max_iter=max_iter,
+    firms, rule, tol, max_iter, floor = _scenario_from_json(scenario_path)
+    trace = simulate_reallocation(firms, step_rule=rule, tol=tol, max_iter=max_iter,
                                   labor_floor=floor)
     cfg = config_hash({"command": "simulate", "scenario": scenario_path})
     out = Path(out_dir)

@@ -200,7 +200,7 @@ def _spread(mp: np.ndarray) -> float:
 
 def simulate_reallocation(
     firms: Sequence[TheoryFirm],
-    m: MarketContext | None = None,
+    *,
     step_rule: StepRule | None = None,
     tol: float = 1e-8,
     max_iter: int = 100_000,
@@ -213,13 +213,9 @@ def simulate_reallocation(
     Total labor is conserved; moves are clipped so labor never falls below
     ``labor_floor``. The run converges when the max relative spread of
     marginal products is at most ``tol``; hitting ``max_iter`` first is
-    reported via ``converged=False``, not an error.
-
-    The market context does not alter the dynamics (only wage *offers*
-    scale with price); it is accepted for symmetry with the profit
-    operations.
+    reported via ``converged=False``, not an error. The dynamics depend
+    only on marginal products, so no price or wage enters.
     """
-    del m  # dynamics depend only on marginal products
     if len(firms) < 2:
         raise InsufficientDataError("reallocation needs at least 2 firms")
     if tol <= 0:

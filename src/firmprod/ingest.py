@@ -219,8 +219,9 @@ class ParseReport:
 class _LineFilter:
     """Yields non-blank, non-comment lines while tracking source line numbers.
 
-    Assumes one CSV row per physical line (no quoted newlines), which holds
-    for every file this package writes.
+    A UTF-8 byte-order mark in front of the first line is dropped. Assumes
+    one CSV row per physical line (no quoted newlines), which holds for
+    every file this package writes.
     """
 
     def __init__(self, lines: Iterable[str]):
@@ -233,6 +234,8 @@ class _LineFilter:
     def __next__(self) -> str:
         for line in self._lines:
             self.lineno += 1
+            if self.lineno == 1:
+                line = line.removeprefix("\ufeff")
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -6,20 +6,27 @@ sum (ordinary income + labor cost + financial expense + taxes and public
 charges + depreciation). Per-worker productivity divides the chosen value
 by the full-time worker count.
 
-All summations run left to right in record order, so aggregate results are
-bit-stable for a given dataset.
+:func:`evaluate` computes each record's value under a basis once, into an
+:class:`Evaluation`. Every aggregate (per sector, per size threshold, per
+year and sector class) comes from its one reducer, :meth:`Evaluation.pool`,
+whose sums run left to right in record order, so results are bit-stable.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     ConfigError,
+    DataError,
     DegenerateShareError,
     IncompleteRecordError,
     MacroContextError,
@@ -36,8 +43,6 @@ class ValueBasis(Enum):
     ADDED_VALUE_LABOR_SHARE = "added_value_labor_share"
     ADDED_VALUE_COMPONENTS = "added_value_components"
 
-
-_ADDED_VALUE_BASES = (ValueBasis.ADDED_VALUE_LABOR_SHARE, ValueBasis.ADDED_VALUE_COMPONENTS)
 
 #: Components of the accounting-sum added value, in summation order.
 COMPONENT_FIELDS = (
@@ -141,7 +146,7 @@ class ProductivityMeasure:
 
 @dataclass(frozen=True)
 class SectorAggregate:
-    """Pooled totals and productivity for one sector."""
+    """Pooled totals and productivity for one group of records, such as a sector."""
 
     total_value: float
     total_workers: int
@@ -164,10 +169,7 @@ def added_value(r: FirmRecord, basis: ValueBasis, ctx: MacroContext | None = Non
     if basis is ValueBasis.ADDED_VALUE_LABOR_SHARE:
         if ctx is None:
             raise MacroContextError("labor-share added value requires a MacroContext")
-        share = ctx.labor_share(r.country, r.year)
-        if share >= 1:
-            raise DegenerateShareError(f"labor_share must be < 1, got {share}")
-        return gross_margin(r) / (1.0 - share)
+        return gross_margin(r) / (1.0 - ctx.labor_share(r.country, r.year))
     if basis is ValueBasis.ADDED_VALUE_COMPONENTS:
         missing = [name for name in COMPONENT_FIELDS if getattr(r, name) is None]
         if missing:
@@ -202,6 +204,103 @@ def labor_productivity(
     )
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("pooled", "mean"):
+        raise ValueError(f"mode must be 'pooled' or 'mean', got {mode!r}")
+
+
+def _check_thresholds(thresholds: Sequence[int]) -> None:
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError(f"thresholds must be strictly ascending, got {list(thresholds)}")
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """The records a value basis could evaluate, in input order, beside their
+    raw values and worker counts; ``excluded`` counts the records left out."""
+
+    records: tuple[FirmRecord, ...]
+    values: np.ndarray
+    workers: np.ndarray
+    excluded: int = 0
+
+    @cached_property
+    def productivity(self) -> np.ndarray:
+        return self.values / self.workers
+
+    def pool(self, mode: str = "pooled", where: np.ndarray | None = None) -> SectorAggregate:
+        """Aggregate a non-empty selection (a mask or index; all records by default).
+
+        ``pooled`` treats the selection as one firm: sum of values over sum
+        of workers. ``mean`` averages the per-firm ratios instead. Float sums
+        are cumulative, so they add left to right in record order.
+        """
+        _check_mode(mode)
+        pick = slice(None) if where is None else where
+        values = self.values[pick]
+        total_value = float(np.cumsum(values)[-1])
+        total_workers = int(self.workers[pick].sum())  # integers: exact in any order
+        if mode == "pooled":
+            productivity = total_value / total_workers
+        else:
+            productivity = float(np.cumsum(self.productivity[pick])[-1]) / len(values)
+        return SectorAggregate(total_value, total_workers, productivity, len(values))
+
+    def split(self, key: Callable[[FirmRecord], Hashable]) -> dict:
+        """Parts by ``key(record)``, in order of their first record."""
+        groups: dict = {}
+        for i, record in enumerate(self.records):
+            groups.setdefault(key(record), []).append(i)
+        return {k: Evaluation(tuple(self.records[i] for i in index), self.values[index],
+                              self.workers[index]) for k, index in groups.items()}
+
+    def pool_by(self, key: Callable[[FirmRecord], Hashable], mode: str = "pooled") -> dict:
+        """One aggregate per ``key(record)``, in order of their first record."""
+        return {k: part.pool(mode) for k, part in self.split(key).items()}
+
+    def sweep(self, thresholds: Sequence[int], mode: str = "pooled") -> dict[int, float | None]:
+        """Productivity of the records with workers >= each threshold (``None`` if none)."""
+        _check_thresholds(thresholds)
+        out: dict[int, float | None] = {}
+        for threshold in thresholds:
+            admitted = self.workers >= threshold
+            out[threshold] = self.pool(mode, admitted).productivity if admitted.any() else None
+        return out
+
+
+def evaluate(
+    records: Iterable[FirmRecord],
+    basis: ValueBasis = ValueBasis.GROSS_MARGIN,
+    ctx: MacroContext | None = None,
+    *,
+    strict: bool = False,
+) -> Evaluation:
+    """Evaluate each record (a :class:`Dataset` is iterable) under ``basis`` once.
+
+    A record with zero workers, or one the basis cannot evaluate, is left
+    out and counted; with ``strict`` the first such record raises instead.
+    """
+    kept: list[FirmRecord] = []
+    values: list[float] = []
+    excluded = 0
+    for record in records:
+        try:
+            if record.workers == 0:
+                raise ZeroWorkersError(
+                    f"record ({record.firm_id}, {record.year}) has zero workers; "
+                    "filter with require_positive=('workers',) first"
+                )
+            values.append(_value(record, basis, ctx))
+        except DataError:
+            if strict:
+                raise
+            excluded += 1
+            continue
+        kept.append(record)
+    workers = np.array([r.workers for r in kept], dtype=np.int64)
+    return Evaluation(tuple(kept), np.array(values, dtype=float), workers, excluded)
+
+
 def aggregate_by_sector(
     d: Dataset,
     basis: ValueBasis = ValueBasis.GROSS_MARGIN,
@@ -212,40 +311,11 @@ def aggregate_by_sector(
 
     ``pooled`` (default) treats the sector as one firm: sum of values over
     sum of workers. ``mean`` averages per-firm ratios instead. Sectors with
-    no records simply do not appear.
+    no records simply do not appear. A record with zero workers, or one the
+    basis cannot evaluate, raises.
     """
-    if mode not in ("pooled", "mean"):
-        raise ValueError(f"mode must be 'pooled' or 'mean', got {mode!r}")
-    groups: dict[str, list[FirmRecord]] = {}
-    for record in d.records:
-        groups.setdefault(record.sector, []).append(record)
-
-    out: dict[str, SectorAggregate] = {}
-    for sector, members in groups.items():
-        total_value = 0.0
-        total_workers = 0
-        ratio_sum = 0.0
-        for record in members:
-            if record.workers == 0:
-                raise ZeroWorkersError(
-                    f"record ({record.firm_id}, {record.year}) has zero workers; "
-                    "filter with require_positive=('workers',) first"
-                )
-            value = _value(record, basis, ctx)
-            total_value += value
-            total_workers += record.workers
-            ratio_sum += value / record.workers
-        if mode == "pooled":
-            productivity = total_value / total_workers
-        else:
-            productivity = ratio_sum / len(members)
-        out[sector] = SectorAggregate(
-            total_value=total_value,
-            total_workers=total_workers,
-            productivity=productivity,
-            n_firms=len(members),
-        )
-    return out
+    _check_mode(mode)
+    return evaluate(d, basis, ctx, strict=True).pool_by(attrgetter("sector"), mode)
 
 
 def gdp_coverage(
@@ -306,30 +376,10 @@ def size_sweep(
 
     Thresholds must be strictly ascending; the cut is inclusive
     (workers >= t). A threshold excluding every firm maps to ``None``.
+    Records with zero workers are skipped, and only the records the
+    smallest threshold admits are evaluated.
     """
-    if mode not in ("pooled", "mean"):
-        raise ValueError(f"mode must be 'pooled' or 'mean', got {mode!r}")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError(f"thresholds must be strictly ascending, got {list(thresholds)}")
-
-    out: dict[int, float | None] = {}
-    for threshold in thresholds:
-        total_value = 0.0
-        total_workers = 0
-        ratio_sum = 0.0
-        n = 0
-        for record in d.records:
-            if record.workers < threshold or record.workers == 0:
-                continue
-            value = _value(record, basis, ctx)
-            total_value += value
-            total_workers += record.workers
-            ratio_sum += value / record.workers
-            n += 1
-        if n == 0:
-            out[threshold] = None
-        elif mode == "pooled":
-            out[threshold] = total_value / total_workers
-        else:
-            out[threshold] = ratio_sum / n
-    return out
+    _check_mode(mode)
+    _check_thresholds(thresholds)
+    admitted = (r for r in d.records if thresholds and r.workers >= max(thresholds[0], 1))
+    return evaluate(admitted, basis, ctx, strict=True).sweep(thresholds, mode)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .ingest import Dataset
-from .measures import MacroContext, ValueBasis, aggregate_by_sector, labor_productivity
+from .measures import Evaluation, MacroContext, ValueBasis, evaluate
 
 #: Default tail selection for firm-level fits: top 10% of points, at least 10.
 DEFAULT_FIRM_TAIL_FRACTION = 0.1
@@ -247,6 +249,19 @@ def hill_estimate(series: RankSizeSeries, tail: TailSpec | None = None) -> float
     return k / total
 
 
+def _check_level(level: str) -> None:
+    if level not in ("firm", "sector"):
+        raise ValueError(f"level must be 'firm' or 'sector', got {level!r}")
+
+
+def level_values(ev: Evaluation, level: str = "firm") -> np.ndarray | list[float]:
+    """Per-firm productivity, or pooled productivity per sector, of an evaluation."""
+    _check_level(level)
+    if level == "firm":
+        return ev.productivity
+    return [agg.productivity for agg in ev.pool_by(attrgetter("sector")).values()]
+
+
 def productivity_values(
     d: Dataset,
     level: str = "firm",
@@ -254,22 +269,28 @@ def productivity_values(
     ctx: MacroContext | None = None,
 ) -> list[float]:
     """Per-firm or per-sector productivity values, in dataset order."""
-    if level == "firm":
-        return [
-            labor_productivity(r, basis, ctx).value for r in d.records if r.workers > 0
-        ]
-    if level == "sector":
-        return [agg.productivity for agg in aggregate_by_sector(d, basis, ctx).values()]
-    raise ValueError(f"level must be 'firm' or 'sector', got {level!r}")
+    _check_level(level)
+    records = (r for r in d.records if r.workers > 0) if level == "firm" else d.records
+    return list(level_values(evaluate(records, basis, ctx, strict=True), level))
 
 
 def default_tail(level: str) -> TailSpec:
     """Estimator default: fit the tail for firms, the whole series for sectors."""
-    if level == "firm":
-        return TailSpec.fraction(DEFAULT_FIRM_TAIL_FRACTION)
-    if level == "sector":
-        return TailSpec.whole()
-    raise ValueError(f"level must be 'firm' or 'sector', got {level!r}")
+    _check_level(level)
+    return TailSpec.fraction(DEFAULT_FIRM_TAIL_FRACTION) if level == "firm" else TailSpec.whole()
+
+
+def fit_years(
+    parts: Mapping[int, Any], values_of: Callable[[Any], Iterable[float]], tail: TailSpec
+) -> dict[int, ParetoFit]:
+    """One tail fit of ``values_of(part)`` per year; years that cannot be fitted are absent."""
+    out: dict[int, ParetoFit] = {}
+    for year in sorted(parts):
+        try:
+            out[year] = fit_pareto(rank_size(values_of(parts[year])), tail)
+        except (DataError, NumericalError):
+            continue
+    return out
 
 
 def pareto_time_series(
@@ -280,12 +301,8 @@ def pareto_time_series(
     tail: TailSpec | None = None,
 ) -> dict[int, ParetoFit]:
     """One tail-exponent fit per year; years that cannot be fitted are absent."""
-    tail = tail or default_tail(level)
-    out: dict[int, ParetoFit] = {}
-    for year in sorted(datasets):
-        try:
-            values = productivity_values(datasets[year], level, basis, ctx)
-            out[year] = fit_pareto(rank_size(values), tail)
-        except (DataError, NumericalError):
-            continue
-    return out
+    return fit_years(
+        datasets,
+        lambda d: productivity_values(d, level, basis, ctx),
+        tail or default_tail(level),
+    )

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import Dataset
-from .measures import MacroContext, ValueBasis, _value
+from .measures import MacroContext, ValueBasis, evaluate
 
 #: Above this design-matrix condition number the normal equations are
 #: abandoned for a least-squares orthogonal decomposition.
@@ -102,32 +102,19 @@ def log_design(
     A record is usable when its value, capital, and worker count are all
     present and strictly positive; everything else is excluded and counted.
     """
-    responses: list[float] = []
-    rows: list[tuple[float, float]] = []
-    excluded = 0
-    for record in d.records:
-        if record.capital is None or record.capital <= 0 or record.workers <= 0:
-            excluded += 1
-            continue
-        try:
-            value = _value(record, value_basis, ctx)
-        except DataError:
-            excluded += 1
-            continue
-        if value <= 0:
-            excluded += 1
-            continue
-        responses.append(np.log10(value))
-        rows.append((np.log10(record.capital), np.log10(record.workers)))
-
-    if len(responses) < 3:
+    capitalized = (r for r in d.records if r.capital is not None and r.capital > 0)
+    ev = evaluate(capitalized, value_basis, ctx)
+    positive = ev.values > 0
+    n = int(positive.sum())
+    excluded = len(d) - n
+    if n < 3:
         raise InsufficientDataError(
-            f"need at least 3 usable records to fit, got {len(responses)} "
-            f"({excluded} excluded)"
+            f"need at least 3 usable records to fit, got {n} ({excluded} excluded)"
         )
+    capital = np.array([r.capital for r in ev.records], dtype=float)[positive]
     return LogDesign(
-        responses=np.asarray(responses, dtype=float),
-        regressors=np.asarray(rows, dtype=float),
+        responses=np.log10(ev.values[positive]),
+        regressors=np.log10(np.column_stack([capital, ev.workers[positive]])),
         excluded=excluded,
     )
 
@@ -150,11 +137,14 @@ def fit_log_design(design: LogDesign) -> ProductionFit:
     x = np.column_stack([np.ones(n), design.regressors])
     y = design.responses
 
-    if np.linalg.matrix_rank(x) < 3:
+    # One SVD gives both the rank (with matrix_rank's tolerance) and the
+    # 2-norm condition number.
+    singular = np.linalg.svd(x, compute_uv=False)
+    if np.count_nonzero(singular > singular[0] * max(x.shape) * np.finfo(float).eps) < 3:
         raise CollinearityError(_diagnose_collinearity(x))
 
     gram = x.T @ x
-    if np.linalg.cond(x) <= CONDITION_LIMIT:
+    if singular[0] / singular[-1] <= CONDITION_LIMIT:
         coef = np.linalg.solve(gram, x.T @ y)
     else:
         coef, *_ = np.linalg.lstsq(x, y, rcond=None)

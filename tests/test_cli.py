@@ -147,6 +147,25 @@ def test_pareto_series_and_prod_series(runner):
         ]
 
 
+
+def test_value_columns_carry_the_raw_value_sum(runner):
+    # 102.505908 - 94.566958 is 7.93895000000001 at 15 digits; dividing by
+    # 180 workers and multiplying back would round it to 7.93895.
+    with runner.isolated_filesystem():
+        header = "firm_id,year,country,sector,sector_class,revenue,cogs,workers"
+        Path("one.csv").write_text(
+            header + "\nF1,2003,JP,s,manufacturing,102.505908,94.566958,180\n"
+        )
+        run_ok(runner, ["measures", "--input", "one.csv", "--out", "out"])
+        (firm,) = read_rows("out/firm_productivity.csv")
+        assert firm["value"] == "7.93895000000001"
+        (sector,) = read_rows("out/sector_productivity.csv")
+        assert sector["total_value"] == "7.93895000000001"
+        run_ok(runner, ["prod-series", "--input", "one.csv", "--out", "out"])
+        (point,) = read_rows("out/productivity_series.csv")
+        assert point["total_value"] == "7.93895000000001"
+        assert float(point["productivity"]) == float(firm["productivity"])
+
 def test_simulate_emits_trace_and_final_state(runner):
     scenario = {
         "firms": [

@@ -255,7 +255,7 @@ def test_labor_conserved_at_every_step():
 
 def test_adaptive_output_never_decreases():
     firms = random_firms(8, seed=6)
-    trace = simulate_reallocation(firms, AdaptiveStep())
+    trace = simulate_reallocation(firms, step_rule=AdaptiveStep())
     outputs = [step.total_output for step in trace.steps]
     for prev, nxt in zip(outputs, outputs[1:]):
         assert nxt >= prev - 1e-12 * abs(prev)
@@ -283,9 +283,10 @@ def test_fixed_step_reports_nonconvergence():
         firm(id="a", scale=1.0, capital=4.0, labor=10.0),
         firm(id="b", scale=2.0, capital=1.0, labor=10.0),
     ]
-    trace = simulate_reallocation(firms, FixedStep(delta=5.0), tol=1e-12, max_iter=7)
+    trace = simulate_reallocation(firms, step_rule=FixedStep(delta=5.0), tol=1e-12, max_iter=7)
     assert not trace.converged
     assert trace.steps[-1].iteration == 7
+    assert [step.delta_labor for step in trace.steps[1:]] == [5.0] * 7
 
 
 def test_fixed_step_clips_at_labor_floor():
@@ -293,7 +294,8 @@ def test_fixed_step_clips_at_labor_floor():
         firm(id="a", scale=0.1, capital=1.0, labor=2.0),
         firm(id="b", scale=5.0, capital=1.0, labor=2.0),
     ]
-    trace = simulate_reallocation(firms, FixedStep(delta=100.0), max_iter=3)
+    trace = simulate_reallocation(firms, step_rule=FixedStep(delta=100.0), max_iter=3)
+    assert all(0 < step.delta_labor < 100.0 for step in trace.steps[1:])
     for f in trace.final_firms:
         assert f.labor >= 1e-9
 

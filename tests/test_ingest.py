@@ -407,3 +407,29 @@ def test_parse_accepts_byte_streams():
     report = parse_firm_records(io.BytesIO(raw))
     assert len(report.dataset) == 1
     assert report.dataset.records[0].firm_id == "F1"
+
+
+
+ROW = "F1,2003,JP,steel,manufacturing,100,40,10,,,,,,\n"
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("kind", ["text", "bytes", "path"])
+def test_byte_order_mark_before_header_is_dropped(kind, tmp_path):
+    text = BOM + HEADER + "\n" + ROW
+    if kind == "text":
+        source = io.StringIO(text)
+    elif kind == "bytes":
+        source = io.BytesIO(text.encode("utf-8"))
+    else:
+        source = tmp_path / "bom.csv"
+        source.write_text(text, encoding="utf-8")
+    report = parse_firm_records(source)
+    assert report.n_skipped == 0
+    assert report.dataset.records[0].firm_id == "F1"
+
+
+def test_byte_order_mark_before_comment_line_is_dropped():
+    report = parse(BOM + "# exported by a vendor tool\n" + HEADER + "\n" + ROW)
+    assert len(report.dataset) == 1
+    assert report.n_skipped == 0

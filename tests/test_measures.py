@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from firmprod import (
     CapitalRule,
+    Dataset,
+    FirmRecord,
     FixedSize,
     MacroContext,
     SynthSpec,
@@ -30,7 +32,7 @@ from firmprod.errors import (
     MacroContextError,
     ZeroWorkersError,
 )
-from firmprod.measures import MacroEntry
+from firmprod.measures import COMPONENT_FIELDS, MacroEntry
 
 
 def ctx_for(country="JP", year=2003, labor_share=1.0 / 3.0, gdp=None):
@@ -221,6 +223,97 @@ def test_aggregate_matches_brute_force_grouping(make_record, make_dataset):
         assert aggregates[sector].total_workers == total_workers
         assert aggregates[sector].productivity == total_value / total_workers
 
+
+
+_money = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+_income = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_record_fields = st.tuples(
+    st.sampled_from(["food", "steel", "chem"]),
+    _money,
+    _money,
+    st.integers(0, 60),
+    # COMPONENT_FIELDS order: ordinary income (may be negative), then four costs;
+    # a record either reports all of them or misses one
+    st.tuples(_income, _money, _money, _money, _money).flatmap(
+        lambda parts: st.sampled_from(
+            [parts] * 4 + [parts[:i] + (None,) + parts[i + 1:] for i in range(5)]
+        )
+    ),
+)
+
+
+def _reference_value(record, basis):
+    if basis is ValueBasis.GROSS_MARGIN:
+        return record.revenue - record.cogs
+    total = 0.0
+    for name in COMPONENT_FIELDS:
+        part = getattr(record, name)
+        if part is None:
+            raise IncompleteRecordError(name)
+        total += part
+    return total
+
+
+def _reference_pool(records, basis, mode):
+    total_value = 0.0
+    total_workers = 0
+    ratio_sum = 0.0
+    for record in records:
+        value = _reference_value(record, basis)
+        total_value += value
+        total_workers += record.workers
+        ratio_sum += value / record.workers
+    productivity = total_value / total_workers if mode == "pooled" else ratio_sum / len(records)
+    return total_value, total_workers, productivity, len(records)
+
+
+@given(
+    st.lists(_record_fields, max_size=25),
+    st.sampled_from([ValueBasis.GROSS_MARGIN, ValueBasis.ADDED_VALUE_COMPONENTS]),
+    st.sampled_from(["pooled", "mean"]),
+    st.lists(st.integers(-3, 70), max_size=6, unique=True).map(sorted),
+)
+def test_reducers_match_left_to_right_reference(fields, basis, mode, thresholds):
+    records = [
+        FirmRecord(firm_id=f"f{i}", year=2003, country="JP", sector=sector,
+                   sector_class="manufacturing", revenue=revenue, cogs=cogs, workers=workers,
+                   **dict(zip(COMPONENT_FIELDS, parts)))
+        for i, (sector, revenue, cogs, workers, parts) in enumerate(fields)
+    ]
+    d = Dataset(records=tuple(records))
+
+    def evaluable(r):
+        return basis is ValueBasis.GROSS_MARGIN or all(
+            getattr(r, name) is not None for name in COMPONENT_FIELDS
+        )
+
+    if all(r.workers > 0 and evaluable(r) for r in records):
+        expected = {}
+        for sector in dict.fromkeys(r.sector for r in records):
+            members = [r for r in records if r.sector == sector]
+            expected[sector] = _reference_pool(members, basis, mode)
+        got = aggregate_by_sector(d, basis, mode=mode)
+        assert list(got) == list(expected)
+        for sector, agg in got.items():
+            assert (agg.total_value, agg.total_workers, agg.productivity, agg.n_firms) == (
+                expected[sector]
+            )
+    else:
+        with pytest.raises((ZeroWorkersError, IncompleteRecordError)):
+            aggregate_by_sector(d, basis, mode=mode)
+
+    admitted = [r for r in records if thresholds and r.workers >= max(thresholds[0], 1)]
+    if all(evaluable(r) for r in admitted):
+        expected_sweep = {}
+        for threshold in thresholds:
+            members = [r for r in admitted if r.workers >= threshold]
+            expected_sweep[threshold] = (
+                _reference_pool(members, basis, mode)[2] if members else None
+            )
+        assert size_sweep(d, thresholds, basis, mode=mode) == expected_sweep
+    else:
+        with pytest.raises(IncompleteRecordError):
+            size_sweep(d, thresholds, basis, mode=mode)
 
 def test_pooled_productivity_within_member_range(make_record, make_dataset):
     rng = random.Random(17)
