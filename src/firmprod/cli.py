@@ -448,12 +448,17 @@ def size_sweep_cmd(input_path: str, schema_path: str | None, macro_path: str | N
 def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | AdaptiveStep,
                                             float, int, float]:
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: scenario is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "firms" not in raw:
         raise ConfigError(f"{path}: scenario must be a JSON object with a 'firms' list")
     try:
         firms = [TheoryFirm(**entry) for entry in raw["firms"]]
         rule_raw = raw.get("step_rule", {"kind": "adaptive"})
+        if not isinstance(rule_raw, dict):
+            raise ConfigError(f"{path}: step_rule must be a JSON object, got {rule_raw!r}")
         kind = rule_raw.get("kind", "adaptive")
         if kind == "adaptive":
             rule = AdaptiveStep(**{k: v for k, v in rule_raw.items() if k != "kind"})
@@ -462,8 +467,12 @@ def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | Adapti
         else:
             raise ConfigError(f"step_rule kind must be 'fixed' or 'adaptive', got {kind!r}")
         tol = float(raw.get("tol", 1e-8))
+        if not tol > 0:
+            raise ConfigError(f"{path}: tol must be > 0, got {tol}")
         max_iter = int(raw.get("max_iter", 100_000))
         floor = float(raw.get("labor_floor", 1e-9))
+        if not floor >= 0:
+            raise ConfigError(f"{path}: labor_floor must be >= 0, got {floor}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad scenario: {exc}") from exc
     return firms, rule, tol, max_iter, floor

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import firmprod
 from firmprod.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 SYNTH_SPEC = {
     "n": 1000,
@@ -185,6 +192,56 @@ def test_simulate_emits_trace_and_final_state(runner):
         finals = read_rows("out/final_firms.csv")
         mps = [float(r["marginal_productivity"]) for r in finals]
         assert max(mps) - min(mps) <= 1e-7 * min(mps)
+
+
+def test_simulate_reproduces_golden_files(runner, tmp_path, monkeypatch):
+    # 30 firms, several with identical parameters, so the run breaks exact
+    # marginal-product ties by firm id on both sides of a move.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(GOLDEN_DIR / "sim_scenario.json", "scenario.json")
+    run_ok(runner, ["simulate", "--scenario", "scenario.json", "--out", "out"])
+    assert Path("out/trace.csv").read_bytes() == (GOLDEN_DIR / "sim_trace.csv").read_bytes()
+    assert (Path("out/final_firms.csv").read_bytes()
+            == (GOLDEN_DIR / "sim_final_firms.csv").read_bytes())
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_emitted_files_follow_umask(runner, tmp_path, monkeypatch, umask, mode):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(GOLDEN_DIR / "sim_scenario.json", "scenario.json")
+    previous = os.umask(umask)
+    try:
+        run_ok(runner, ["simulate", "--scenario", "scenario.json", "--out", "out"])
+    finally:
+        os.umask(previous)
+    for name in ("trace.csv", "final_firms.csv"):
+        assert Path("out", name).stat().st_mode & 0o777 == mode
+
+
+_TWO_FIRMS = [
+    {"id": "a", "scale": 1.0, "alpha": 0.4, "beta": 0.6, "capital": 4.0, "labor": 10.0},
+    {"id": "b", "scale": 2.0, "alpha": 0.4, "beta": 0.6, "capital": 1.0, "labor": 10.0},
+]
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"firms": _TWO_FIRMS})[:40],  # truncated file
+    json.dumps({"firms": _TWO_FIRMS, "step_rule": "adaptive"}),
+    json.dumps({"firms": _TWO_FIRMS, "tol": 0}),
+    json.dumps({"firms": _TWO_FIRMS, "labor_floor": -1.0}),
+], ids=["truncated", "step-rule-not-object", "zero-tol", "negative-floor"])
+def test_malformed_scenario_is_a_config_error(text, tmp_path):
+    # A real process, so an uncaught exception would print its traceback.
+    (tmp_path / "scenario.json").write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "firmprod.cli", "simulate", "--scenario", "scenario.json",
+         "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "error (config)" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_json_format_output(runner):

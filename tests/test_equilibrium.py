@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firmprod import (
     AdaptiveStep,
     FixedStep,
     MarketContext,
+    ReallocationTrace,
     TheoryFirm,
+    TraceStep,
     equilibrium_dispersion,
     marginal_labor_productivity,
     optimal_labor,
@@ -312,11 +315,152 @@ def test_tie_breaking_uses_firm_id_order():
     assert first_move.mover_to == "a"
 
 
+def test_recipient_tie_breaking_uses_firm_id_order():
+    firms = [
+        firm(id="z", scale=5.0, labor=10.0),
+        firm(id="y", scale=5.0, labor=10.0),
+        firm(id="m", scale=1.0, labor=10.0),
+    ]
+    trace = simulate_reallocation(firms, max_iter=1)
+    first_move = trace.steps[1]
+    assert first_move.mover_from == "m"
+    assert first_move.mover_to == "y"  # highest-MP tie between z and y
+
+
+def _reference_reallocation(firms, *, step_rule, tol, max_iter, labor_floor):
+    # The simulator as first written: every marginal product and the total
+    # output recomputed from scratch each iteration, donor and recipient
+    # found by a Python scan over (mp, id) keys, and the overshoot test on
+    # numpy scalars.
+    ids = [f.id for f in firms]
+    scales = np.array([f.scale for f in firms])
+    alphas = np.array([f.alpha for f in firms])
+    betas = np.array([f.beta for f in firms])
+    capitals = np.array([f.capital for f in firms])
+    labors = np.array([f.labor for f in firms], dtype=float)
+
+    def mp_of(labor_values):
+        return betas * scales * capitals**alphas * labor_values ** (betas - 1.0)
+
+    def mp_single(i, labor_value):
+        return float(
+            betas[i] * scales[i] * capitals[i] ** alphas[i] * labor_value ** (betas[i] - 1.0)
+        )
+
+    def total_output(labor_values):
+        return float(np.sum(scales * capitals**alphas * labor_values**betas))
+
+    def spread_of(mp):
+        lowest = float(mp.min())
+        return float((mp.max() - lowest) / lowest)
+
+    mp = mp_of(labors)
+    steps = [TraceStep(0, None, None, 0.0, spread_of(mp), total_output(labors),
+                       float(labors.sum()))]
+    converged = spread_of(mp) <= tol
+    iteration = 0
+    while not converged and iteration < max_iter:
+        iteration += 1
+        order = range(len(ids))
+        donor = min(order, key=lambda i: (mp[i], ids[i]))
+        recipient = min(order, key=lambda i: (-mp[i], ids[i]))
+        available = labors[donor] - labor_floor
+        if available <= 0:
+            break
+        if isinstance(step_rule, FixedStep):
+            delta = min(step_rule.delta, available)
+        else:
+            delta = available
+            for _ in range(200):
+                donor_left = labors[donor] - delta
+                if donor_left > 0 and mp_single(donor, donor_left) <= mp_single(
+                    recipient, labors[recipient] + delta
+                ):
+                    break
+                delta *= step_rule.shrink
+            else:
+                delta = 0.0
+        if delta <= 0:
+            break
+        labors[donor] -= delta
+        labors[recipient] += delta
+        mp = mp_of(labors)
+        spread = spread_of(mp)
+        steps.append(TraceStep(iteration, ids[donor], ids[recipient], float(delta), spread,
+                               total_output(labors), float(labors.sum())))
+        converged = spread <= tol
+    final = tuple(replace(f, labor=float(labors[i])) for i, f in enumerate(firms))
+    return ReallocationTrace(steps=tuple(steps), converged=converged, final_firms=final)
+
+
+_firm_params = st.tuples(
+    st.floats(0.5, 3.0),  # scale
+    st.floats(0.2, 0.6),  # alpha
+    st.floats(0.3, 0.8),  # beta
+    st.floats(0.5, 20.0),  # capital
+    st.floats(1.0, 50.0),  # labor
+)
+
+
+@st.composite
+def _reallocation_cases(draw):
+    n = draw(st.integers(2, 40))
+    # Few distinct parameter rows and ids, so exact marginal-product ties and
+    # duplicate ids in arbitrary input order are common.
+    rows = draw(st.lists(_firm_params, min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+    names = draw(st.lists(st.sampled_from("abcdefghij"), min_size=n, max_size=n))
+    firms = [
+        TheoryFirm(id=name, scale=s, alpha=a, beta=b, capital=k, labor=lab)
+        for name, (s, a, b, k, lab) in zip(names, (rows[i] for i in picks))
+    ]
+    step_rule = draw(st.one_of(
+        st.builds(FixedStep, st.floats(0.01, 20.0)),
+        st.builds(AdaptiveStep, st.floats(0.1, 0.9)),
+    ))
+    # A floor at or just below the smallest labor stops the run as soon as
+    # that firm becomes the donor.
+    smallest = min(f.labor for f in firms)
+    floor = draw(st.sampled_from([1e-9, smallest * 0.999, smallest]))
+    tol = draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+    return firms, step_rule, tol, floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reallocation_cases())
+def test_simulator_matches_full_recompute_reference(case):
+    firms, step_rule, tol, floor = case
+    kwargs = dict(step_rule=step_rule, tol=tol, max_iter=300, labor_floor=floor)
+    trace = simulate_reallocation(firms, **kwargs)
+    expected = _reference_reallocation(firms, **kwargs)
+    assert trace.steps == expected.steps
+    assert trace.converged == expected.converged
+    assert [f.labor for f in trace.final_firms] == [f.labor for f in expected.final_firms]
+
+
+def test_overshoot_probe_overflow_matches_reference():
+    # Near-zero labor with beta close to 0 pushes a probed marginal product
+    # past the float range: numpy gives inf, Python float ** would raise.
+    firms = [
+        firm(id="a", scale=1.0, beta=0.01, labor=1e-300),
+        firm(id="b", scale=2.0, beta=0.01, labor=1e-300),
+    ]
+    kwargs = dict(step_rule=AdaptiveStep(), tol=1e-8, max_iter=50, labor_floor=1e-316)
+    trace = simulate_reallocation(firms, **kwargs)
+    with np.errstate(over="ignore"):
+        expected = _reference_reallocation(firms, **kwargs)
+    assert trace.converged
+    assert trace.steps == expected.steps
+    assert [f.labor for f in trace.final_firms] == [f.labor for f in expected.final_firms]
+
+
 def test_simulator_validation():
     with pytest.raises(InsufficientDataError):
         simulate_reallocation([firm()])
     with pytest.raises(ValueError):
         simulate_reallocation([firm(id="a"), firm(id="b")], tol=0.0)
+    with pytest.raises(ValueError):
+        simulate_reallocation([firm(id="a"), firm(id="b")], labor_floor=-1.0)
     with pytest.raises(ValidationError):
         simulate_reallocation([firm(id="a", beta=1.0), firm(id="b")])
 
