@@ -13,7 +13,7 @@ Exit codes: 0 success, 2 configuration error (including bad flags),
 from __future__ import annotations
 
 import io
-import json
+from contextlib import suppress
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -33,13 +33,12 @@ from .equilibrium import (
 from .errors import ConfigError, DataError, NumericalError
 from .ingest import (
     CsvSchema,
-    Dataset,
     ParseReport,
-    filter_dataset,
     parse_firm_records,
+    read_json_config,
     write_firm_records,
 )
-from .measures import Evaluation, MacroContext, ValueBasis, evaluate, gdp_coverage
+from .measures import Evaluation, MacroContext, ValueBasis, evaluate
 from .pareto import TailSpec, default_tail, fit_pareto, fit_years, level_values, rank_size
 from .production import classify_returns, fit_by_stratum
 from .synth import SynthSpec, gen_cobb_douglas_firms
@@ -130,9 +129,8 @@ def _evaluate_input(input_path: str, schema_path: str | None, strict: bool,
     """Parse the input, keep one year if asked, and evaluate each record once."""
     dataset = _load(input_path, schema_path, strict).dataset
     ctx = _load_macro(macro_path)
-    if year is not None:
-        dataset = filter_dataset(dataset, year=year)
-    return evaluate(dataset, _BASIS_FLAGS[basis], ctx), ctx
+    records = dataset if year is None else (r for r in dataset if r.year == year)
+    return evaluate(records, _BASIS_FLAGS[basis], ctx), ctx
 
 
 def _echo_excluded(ev: Evaluation) -> None:
@@ -241,17 +239,14 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
     )
 
     if ctx is not None:
-        coverage_basis = _BASIS_FLAGS[basis]
-        if coverage_basis is ValueBasis.GROSS_MARGIN:
-            coverage_basis = ValueBasis.ADDED_VALUE_LABOR_SHARE
-        kept = Dataset(records=ev.records)
+        # Coverage needs an added value: gross margin falls back to the labor-share form.
+        coverage = ev
+        if _BASIS_FLAGS[basis] is ValueBasis.GROSS_MARGIN:
+            coverage = evaluate(ev.records, ValueBasis.ADDED_VALUE_LABOR_SHARE, ctx)
         coverage_rows = []
-        for country, yr in sorted({(r.country, r.year) for r in kept.records}):
-            try:
-                ratio = gdp_coverage(kept, ctx, yr, coverage_basis, country)
-            except DataError:
-                continue
-            coverage_rows.append((country, yr, ratio))
+        for (country, yr), agg in sorted(coverage.pool_by(attrgetter("country", "year")).items()):
+            with suppress(DataError):  # a cell without GDP is left out
+                coverage_rows.append((country, yr, agg.total_value / ctx.gdp(country, yr)))
         if coverage_rows:
             write_table(out / "gdp_coverage", ("country", "year", "coverage"),
                         coverage_rows, cfg, fmt)
@@ -447,13 +442,9 @@ def size_sweep_cmd(input_path: str, schema_path: str | None, macro_path: str | N
 
 def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | AdaptiveStep,
                                             float, int, float]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ConfigError(f"{path}: scenario is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "firms" not in raw:
-        raise ConfigError(f"{path}: scenario must be a JSON object with a 'firms' list")
+    raw = read_json_config(path, "scenario")
+    if "firms" not in raw:
+        raise ConfigError(f"{path}: scenario must have a 'firms' list")
     try:
         firms = [TheoryFirm(**entry) for entry in raw["firms"]]
         rule_raw = raw.get("step_rule", {"kind": "adaptive"})

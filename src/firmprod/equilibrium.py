@@ -299,8 +299,8 @@ def simulate_reallocation(
                 delta *= step_rule.shrink
             else:
                 delta = 0.0
-        if delta <= 0:
-            break
+        if delta <= 0 or labors[donor] - delta <= 0:
+            break  # no admissible move, or one that would leave the donor no labor
 
         labors[donor] -= delta
         labors[recipient] += delta

@@ -17,6 +17,8 @@ from pathlib import Path
 from typing import IO, TextIO
 
 from .errors import (
+    ConfigError,
+    DataError,
     MergeConflictError,
     RowError,
     SchemaError,
@@ -177,23 +179,35 @@ class CsvSchema:
         for field in CANONICAL_COLUMNS:
             mapping.setdefault(field, field)
         object.__setattr__(self, "columns", mapping)
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise SchemaError(f"delimiter must be one character, got {self.delimiter!r}")
+        if not (isinstance(self.year_range, (tuple, list)) and len(self.year_range) == 2
+                and all(type(y) is int for y in self.year_range)):
+            raise SchemaError(f"year_range must be two integers, got {self.year_range!r}")
+        object.__setattr__(self, "year_range", tuple(self.year_range))
         lo, hi = self.year_range
         if lo > hi:
             raise SchemaError(f"year_range lower bound {lo} exceeds upper bound {hi}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> CsvSchema:
+        raw = read_json_config(path, "schema file")
+        try:
+            return cls(**raw)
+        except (TypeError, ValueError) as exc:  # an unknown key, or columns that are no mapping
+            raise SchemaError(f"{path}: bad schema: {exc}") from exc
+
+
+def read_json_config(path: str | Path, what: str, *, allow_list: bool = False) -> dict | list:
+    """Load a JSON config file holding an object (or, with ``allow_list``, a list)."""
+    try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{path}: schema file must contain a JSON object")
-        known = {"columns", "delimiter", "currency_unit", "year_range"}
-        unknown = set(raw) - known
-        if unknown:
-            raise SchemaError(f"{path}: unknown schema keys: {sorted(unknown)}")
-        if "year_range" in raw:
-            raw["year_range"] = tuple(raw["year_range"])
-        return cls(**raw)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ConfigError(f"{path}: {what} is not readable JSON: {exc}") from exc
+    if not isinstance(raw, (dict, list) if allow_list else dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object" + " or list" * allow_list)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -323,10 +337,28 @@ def parse_firm_records(
     line_filter = _LineFilter(lines)
     reader = csv.reader(line_filter, delimiter=schema.delimiter)
 
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("input has no header row") from None
+    records: list[FirmRecord] = []
+    skipped: list[RowIssue] = []
+    seen: set[tuple[str, int]] = set()
+
+    def bad_row(line: int, reason: str) -> None:
+        if strict:
+            raise RowError(line, reason)
+        skipped.append(RowIssue(line, reason))
+
+    def next_row() -> list[str] | None:
+        """The next row csv can split (``None`` at the end); other lines are bad rows."""
+        while True:
+            try:
+                return next(reader, None)
+            except csv.Error as exc:  # such as a cell over csv.field_size_limit()
+                bad_row(line_filter.lineno, str(exc))
+            except UnicodeDecodeError as exc:
+                raise DataError(f"input is not UTF-8 text: {exc}") from None
+
+    header = next_row()
+    if header is None:
+        raise SchemaError("input has no header row")
 
     positions = {name.strip(): idx for idx, name in enumerate(header)}
     header_index: dict[str, int] = {}
@@ -337,16 +369,7 @@ def parse_firm_records(
         elif field in MANDATORY_FIELDS:
             raise SchemaError(f"missing mandatory column {column!r} (field {field})")
 
-    records: list[FirmRecord] = []
-    skipped: list[RowIssue] = []
-    seen: set[tuple[str, int]] = set()
-
-    def bad_row(line: int, reason: str) -> None:
-        if strict:
-            raise RowError(line, reason)
-        skipped.append(RowIssue(line, reason))
-
-    for row in reader:
+    for row in iter(next_row, None):
         line = line_filter.lineno
         try:
             record = _record_from_row(row, header_index, schema)
@@ -379,8 +402,6 @@ def write_firm_records(
     dataset: Dataset,
     dest: str | Path | TextIO,
     schema: CsvSchema | None = None,
-    *,
-    header_comments: Sequence[str] = (),
 ) -> None:
     """Write a dataset in the canonical delimited format.
 
@@ -390,11 +411,9 @@ def write_firm_records(
     schema = schema or CsvSchema(currency_unit=dataset.currency_unit)
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_firm_records(dataset, fh, schema, header_comments=header_comments)
+            write_firm_records(dataset, fh, schema)
         return
 
-    for comment in header_comments:
-        dest.write(f"# {comment}\n")
     writer = csv.writer(dest, delimiter=schema.delimiter, lineterminator="\n")
     writer.writerow([schema.columns[field] for field in CANONICAL_COLUMNS])
     field_names = [f.name for f in dataclass_fields(FirmRecord)]

@@ -14,7 +14,6 @@ whose sums run left to right in record order, so results are bit-stable.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroWorkersError,
 )
-from .ingest import Dataset, FirmRecord
+from .ingest import Dataset, FirmRecord, read_json_config
 
 
 class ValueBasis(Enum):
@@ -104,8 +103,7 @@ class MacroContext:
 
     @classmethod
     def from_json(cls, path: str | Path) -> MacroContext:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json_config(path, "macro file", allow_list=True)
         if isinstance(raw, dict) and "entries" in raw:
             raw = raw["entries"]
         if not isinstance(raw, list):

@@ -79,7 +79,6 @@ class TailSpec:
 
     kind: str  # "whole" | "fraction" | "ranks"
     frac: float | None = None
-    min_points: int = DEFAULT_FIRM_TAIL_MIN_POINTS
     min_rank: int | None = None
     max_rank: int | None = None
 
@@ -88,10 +87,10 @@ class TailSpec:
         return cls(kind="whole")
 
     @classmethod
-    def fraction(cls, frac: float, min_points: int = DEFAULT_FIRM_TAIL_MIN_POINTS) -> TailSpec:
+    def fraction(cls, frac: float) -> TailSpec:
         if not 0 < frac <= 1:
             raise ValueError(f"tail fraction must lie in (0, 1], got {frac}")
-        return cls(kind="fraction", frac=frac, min_points=min_points)
+        return cls(kind="fraction", frac=frac)
 
     @classmethod
     def ranks(cls, min_rank: int, max_rank: int) -> TailSpec:
@@ -124,7 +123,7 @@ class TailSpec:
         if self.kind == "whole":
             return 1, n
         if self.kind == "fraction":
-            count = max(math.ceil(self.frac * n), self.min_points)
+            count = max(math.ceil(self.frac * n), DEFAULT_FIRM_TAIL_MIN_POINTS)
             return 1, min(count, n)
         assert self.min_rank is not None and self.max_rank is not None
         if self.min_rank > n:

@@ -10,6 +10,7 @@ bias the elasticities.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -23,8 +24,8 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .ingest import Dataset
-from .measures import MacroContext, ValueBasis, evaluate
+from .ingest import Dataset, FirmRecord
+from .measures import Evaluation, MacroContext, ValueBasis, evaluate
 
 #: Above this design-matrix condition number the normal equations are
 #: abandoned for a least-squares orthogonal decomposition.
@@ -102,19 +103,22 @@ def log_design(
     A record is usable when its value, capital, and worker count are all
     present and strictly positive; everything else is excluded and counted.
     """
-    capitalized = (r for r in d.records if r.capital is not None and r.capital > 0)
-    ev = evaluate(capitalized, value_basis, ctx)
-    positive = ev.values > 0
-    n = int(positive.sum())
-    excluded = len(d) - n
+    return _usable_design(evaluate(d, value_basis, ctx), len(d))
+
+
+def _usable_design(ev: Evaluation, size: int) -> LogDesign:
+    """Log design of the records in ``ev`` with positive capital and value, out of ``size``."""
+    capital = np.array([r.capital or 0.0 for r in ev.records], dtype=float)
+    usable = (capital > 0) & (ev.values > 0)
+    n = int(usable.sum())
+    excluded = size - n
     if n < 3:
         raise InsufficientDataError(
             f"need at least 3 usable records to fit, got {n} ({excluded} excluded)"
         )
-    capital = np.array([r.capital for r in ev.records], dtype=float)[positive]
     return LogDesign(
-        responses=np.log10(ev.values[positive]),
-        regressors=np.log10(np.column_stack([capital, ev.workers[positive]])),
+        responses=np.log10(ev.values[usable]),
+        regressors=np.log10(np.column_stack([capital[usable], ev.workers[usable]])),
         excluded=excluded,
     )
 
@@ -225,25 +229,18 @@ def fit_by_stratum(
     Returns successful fits and, separately, the strata that could not be
     fitted with the reason.
     """
-    groups: dict[StratumKey, list] = {}
-    for record in d.records:
-        key: StratumKey = (
-            record.country,
-            record.sector_class,
-            None if pool_years else record.year,
-        )
-        groups.setdefault(key, []).append(record)
+    def stratum(record: FirmRecord) -> StratumKey:
+        return (record.country, record.sector_class, None if pool_years else record.year)
 
+    sizes = Counter(map(stratum, d))
+    parts = evaluate(d, value_basis, ctx).split(stratum)
     fits: dict[StratumKey, ProductionFit] = {}
     failures: dict[StratumKey, str] = {}
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2] if k[2] is not None else -1)):
-        subset = Dataset(
-            records=tuple(groups[key]),
-            currency_unit=d.currency_unit,
-            provenance=d.provenance,
-        )
+    for key in sorted(sizes, key=lambda k: (k[0], k[1], k[2] if k[2] is not None else -1)):
         try:
-            fits[key] = fit_cobb_douglas(subset, value_basis, ctx)
+            # A stratum none of whose records could be evaluated has no part.
+            part = parts.get(key) or evaluate(())
+            fits[key] = fit_log_design(_usable_design(part, sizes[key]))
         except (DataError, NumericalError) as exc:
             failures[key] = str(exc)
     return fits, failures

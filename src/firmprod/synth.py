@@ -14,14 +14,13 @@ and output is stable across runs and platforms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .ingest import SECTOR_CLASSES, Dataset, FirmRecord
+from .ingest import SECTOR_CLASSES, Dataset, FirmRecord, read_json_config
 
 
 @dataclass(frozen=True)
@@ -117,17 +116,14 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> SynthSpec:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: synth spec must be a JSON object")
+        raw = read_json_config(path, "synth spec")
         try:
             if "size_dist" in raw:
                 raw["size_dist"] = _size_dist_from_json(raw["size_dist"])
             if "capital_rule" in raw:
                 raw["capital_rule"] = CapitalRule(**raw["capital_rule"])
             return cls(**raw)
-        except (TypeError, ValidationError) as exc:
+        except (AttributeError, TypeError, ValidationError) as exc:  # e.g. size_dist: 5
             raise ConfigError(f"{path}: bad synth spec: {exc}") from exc
 
 

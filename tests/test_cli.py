@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import firmprod
+from firmprod._emit import format_cell
 from firmprod.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -126,6 +127,54 @@ def test_measures_emits_gdp_coverage_with_macro(runner):
         assert float(row["coverage"]) > 0
 
 
+_COVERAGE_FIRMS = """\
+firm_id,year,country,sector,sector_class,revenue,cogs,workers,total_labor_cost,capital,\
+ordinary_income,financial_expense,tax_public_charge,depreciation
+a,2002,JP,s1,manufacturing,120.5,20.25,10,30,50,40.5,1.25,2,3
+b,2002,JP,s2,manufacturing,80.75,60,4,10,20,5.5,0.5,1,1
+c,2002,JP,s1,manufacturing,50,10,0,10,20,5,0,0,0
+d,2003,JP,s1,non_manufacturing,300.1,100.3,20,70,90,60.7,3.3,4.4,5.5
+e,2003,JP,s2,manufacturing,45,5,3,9,,12,,1,1
+f,2004,JP,s1,manufacturing,64,4,6,12,30,20,2,2,2
+g,2002,US,s1,manufacturing,99,9,9,19,29,39,1,1,1
+h,2002,DE,s1,manufacturing,77,7,7,17,27,37,1,1,1
+"""
+_COVERAGE_MACRO = [
+    {"country": "JP", "year": 2002, "labor_share": 0.4, "gdp": 1700.0},
+    {"country": "JP", "year": 2003, "labor_share": 0.6, "gdp": 2900.5},
+    {"country": "US", "year": 2002, "labor_share": 0.5},
+]
+
+
+@pytest.mark.parametrize("basis", ["gm", "av-share", "av-components"])
+def test_gdp_coverage_rows_match_the_library_function(runner, basis):
+    # Cells: JP 2002 and 2003 have GDP, JP 2004 and DE 2002 have no macro
+    # entry, US 2002 has no GDP; c has zero workers, e lacks two components.
+    with runner.isolated_filesystem():
+        Path("firms.csv").write_text(_COVERAGE_FIRMS)
+        Path("macro.json").write_text(json.dumps(_COVERAGE_MACRO))
+        run_ok(runner, ["measures", "--input", "firms.csv", "--macro", "macro.json",
+                        "--basis", basis, "--out", "out"])
+        ctx = firmprod.MacroContext.from_json("macro.json")
+        value_basis = {"gm": firmprod.ValueBasis.GROSS_MARGIN,
+                       "av-share": firmprod.ValueBasis.ADDED_VALUE_LABOR_SHARE,
+                       "av-components": firmprod.ValueBasis.ADDED_VALUE_COMPONENTS}[basis]
+        parsed = firmprod.parse_firm_records("firms.csv").dataset
+        kept = firmprod.Dataset(records=firmprod.evaluate(parsed, value_basis, ctx).records)
+        if value_basis is firmprod.ValueBasis.GROSS_MARGIN:
+            value_basis = firmprod.ValueBasis.ADDED_VALUE_LABOR_SHARE
+        expected = []
+        for country, year in sorted({(r.country, r.year) for r in kept}):
+            try:
+                ratio = firmprod.gdp_coverage(kept, ctx, year, value_basis, country)
+            except firmprod.errors.DataError:
+                continue
+            expected.append({"country": country, "year": str(year),
+                             "coverage": format_cell(ratio)})
+        assert len(expected) == 2
+        assert read_rows("out/gdp_coverage.csv") == expected
+
+
 def test_pareto_series_and_prod_series(runner):
     with runner.isolated_filesystem():
         Path("spec.json").write_text(json.dumps(SYNTH_SPEC))
@@ -218,6 +267,13 @@ def test_emitted_files_follow_umask(runner, tmp_path, monkeypatch, umask, mode):
         assert Path("out", name).stat().st_mode & 0o777 == mode
 
 
+def run_process(cwd, *args):
+    """Run the CLI in a real process, so an uncaught exception prints its traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "firmprod.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 _TWO_FIRMS = [
     {"id": "a", "scale": 1.0, "alpha": 0.4, "beta": 0.6, "capital": 4.0, "labor": 10.0},
     {"id": "b", "scale": 2.0, "alpha": 0.4, "beta": 0.6, "capital": 1.0, "labor": 10.0},
@@ -231,17 +287,51 @@ _TWO_FIRMS = [
     json.dumps({"firms": _TWO_FIRMS, "labor_floor": -1.0}),
 ], ids=["truncated", "step-rule-not-object", "zero-tol", "negative-floor"])
 def test_malformed_scenario_is_a_config_error(text, tmp_path):
-    # A real process, so an uncaught exception would print its traceback.
     (tmp_path / "scenario.json").write_text(text)
-    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-m", "firmprod.cli", "simulate", "--scenario", "scenario.json",
-         "--out", "out"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-    )
+    result = run_process(tmp_path, "simulate", "--scenario", "scenario.json", "--out", "out")
     assert result.returncode == 2, result.stderr
     assert "error (config)" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+_HEADER = "firm_id,year,country,sector,sector_class,revenue,cogs,workers\n"
+
+
+@pytest.mark.parametrize("command, option, text", [
+    ("ingest", "--schema", '{"columns": '),
+    ("measures", "--macro", '{"columns": '),
+    ("synth", "--spec", '{"columns": '),
+    ("synth", "--spec", '{"n": 10, "size_dist": 5}'),
+    ("ingest", "--schema", '{"delimiter": ""}'),
+    ("ingest", "--schema", '{"year_range": 5}'),
+    ("ingest", "--schema", '{"columns": 5}'),
+    ("measures", "--macro", '"entries"'),
+], ids=["schema-truncated", "macro-truncated", "spec-truncated", "scalar-size-dist",
+        "empty-delimiter", "scalar-year-range", "scalar-columns", "macro-string"])
+def test_malformed_config_file_is_a_config_error(command, option, text, tmp_path):
+    (tmp_path / "config.json").write_text(text)
+    (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
+    data = [] if command == "synth" else ["--input", "firms.csv"]
+    result = run_process(tmp_path, command, option, "config.json", *data, "--out", "out")
+    assert result.returncode == 2, result.stderr
+    assert "error (config)" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_undecodable_or_oversized_input_is_a_data_error(strict, tmp_path):
+    row = "F2,2003,JP,s,manufacturing,2,1,1\n"
+    (tmp_path / "bytes.csv").write_bytes((_HEADER + row).encode().replace(b",s,", b",s\xff,"))
+    (tmp_path / "big.csv").write_text(_HEADER + row.replace(",s,", "," + "s" * 200_000 + ",") + row)
+    flags = ["--strict"] if strict else []
+    undecodable = run_process(tmp_path, "ingest", "--input", "bytes.csv", *flags, "--out", "a")
+    assert undecodable.returncode == 3, undecodable.stderr
+    assert "not UTF-8" in undecodable.stderr
+    oversized = run_process(tmp_path, "ingest", "--input", "big.csv", *flags, "--out", "b")
+    assert "field larger than field limit" in oversized.stderr
+    assert oversized.returncode == (3 if strict else 0), oversized.stderr
+    for result in (undecodable, oversized):
+        assert "Traceback" not in result.stderr
 
 
 def test_json_format_output(runner):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -301,6 +302,21 @@ def test_fixed_step_clips_at_labor_floor():
     assert all(0 < step.delta_labor < 100.0 for step in trace.steps[1:])
     for f in trace.final_firms:
         assert f.labor >= 1e-9
+
+
+def test_fixed_step_stops_before_a_zero_floor_empties_the_donor():
+    firms = [
+        firm(id="a", capital=0.1, labor=12.0),
+        firm(id="b", capital=0.1, labor=3.0),
+        firm(id="c", capital=1.0, labor=7.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a firm at zero labor divides by zero
+        trace = simulate_reallocation(firms, step_rule=FixedStep(delta=5.0), labor_floor=0.0)
+    assert not trace.converged
+    # a gives 5 twice; the next move would take its last 2 units of labor.
+    assert [(s.mover_from, s.delta_labor) for s in trace.steps[1:]] == [("a", 5.0)] * 2
+    assert [f.labor for f in trace.final_firms] == [2.0, 3.0, 17.0]
 
 
 def test_tie_breaking_uses_firm_id_order():

@@ -12,6 +12,7 @@ from firmprod import (
     Dataset,
     FirmRecord,
     MergePolicy,
+    ParseReport,
     SynthSpec,
     filter_dataset,
     gen_cobb_douglas_firms,
@@ -20,12 +21,14 @@ from firmprod import (
     write_firm_records,
 )
 from firmprod.errors import (
+    FirmprodError,
     MergeConflictError,
     RowError,
     SchemaError,
     UnitMismatchError,
     ValidationError,
 )
+from firmprod.ingest import SECTOR_CLASSES
 
 HEADER = (
     "firm_id,year,country,sector,sector_class,revenue,cogs,workers,"
@@ -433,3 +436,66 @@ def test_byte_order_mark_before_comment_line_is_dropped():
     report = parse(BOM + "# exported by a vendor tool\n" + HEADER + "\n" + ROW)
     assert len(report.dataset) == 1
     assert report.n_skipped == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing
+# ---------------------------------------------------------------------------
+
+
+@given(st.one_of(st.text(), st.binary()), st.booleans(), st.booleans())
+def test_arbitrary_input_parses_or_raises_a_package_error(body, with_header, strict):
+    if with_header:  # so that most examples reach the row parser
+        body = (HEADER + "\n").encode() + body if isinstance(body, bytes) else HEADER + "\n" + body
+    source = io.BytesIO(body) if isinstance(body, bytes) else io.StringIO(body)
+    try:
+        report = parse_firm_records(source, strict=strict)
+    except FirmprodError:
+        return
+    assert isinstance(report, ParseReport)
+
+
+# Cells are stripped on parse, a line starting with '#' is a comment, and a
+# row must sit on one line, so names avoid outer spaces, a leading '#' and
+# line or paragraph separators.
+_names = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=8
+).map(str.strip).filter(lambda name: name and not name.startswith("#"))
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_nonnegative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def firm_records(draw) -> FirmRecord:
+    return FirmRecord(
+        firm_id=draw(_names),
+        year=draw(st.integers(1980, 2030)),
+        country=draw(_names),
+        sector=draw(_names),
+        sector_class=draw(st.sampled_from(SECTOR_CLASSES)),
+        revenue=draw(_nonnegative),
+        cogs=draw(_nonnegative),
+        workers=draw(st.integers(0, 10**12)),
+        total_labor_cost=draw(st.none() | _nonnegative),
+        capital=draw(st.none() | _nonnegative),
+        ordinary_income=draw(st.none() | _finite),
+        financial_expense=draw(st.none() | _nonnegative),
+        tax_public_charge=draw(st.none() | _nonnegative),
+        depreciation=draw(st.none() | _nonnegative),
+    )
+
+
+@given(st.lists(firm_records(), max_size=8, unique_by=lambda r: r.key))
+def test_write_then_parse_gives_every_record_back(records):
+    dataset = Dataset(records=tuple(records))
+    assert roundtrip(dataset).records == dataset.records
+
+
+def test_oversized_cell_is_a_skipped_row():
+    text = HEADER + "\n" + "F0," + "9" * 200_000 + ",JP,s,manufacturing,1,1,1\n" + ROW
+    report = parse(text)
+    assert [issue.line for issue in report.skipped] == [2]
+    assert "field larger than field limit" in report.skipped[0].reason
+    assert [r.firm_id for r in report.dataset.records] == ["F1"]
+    with pytest.raises(RowError, match="line 2"):
+        parse(text, strict=True)

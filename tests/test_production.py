@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from firmprod import (
     CapitalRule,
     Dataset,
+    FirmRecord,
     LognormalSize,
+    MacroContext,
     ProductionFit,
     ScaleRegime,
     SynthSpec,
+    ValueBasis,
     classify_returns,
     fit_by_stratum,
     fit_cobb_douglas,
@@ -17,8 +24,14 @@ from firmprod import (
     log_design,
     productivity_from_capital_ratio,
 )
-from firmprod.errors import CollinearityError, InsufficientDataError
-from firmprod.production import fit_log_design, predict_log_values
+from firmprod.errors import (
+    CollinearityError,
+    DataError,
+    InsufficientDataError,
+    NumericalError,
+)
+from firmprod.measures import COMPONENT_FIELDS, evaluate
+from firmprod.production import LogDesign, fit_log_design, predict_log_values
 
 
 def synth(n=1000, *, log_a=0.0, alpha=0.4, beta=0.6, noise=0.0, seed=21, **kwargs):
@@ -270,6 +283,92 @@ def test_fit_by_stratum_reports_failures(make_record, make_dataset):
     assert not fits
     assert list(failures) == [("JP", "manufacturing", 2003)]
     assert "3" in failures[("JP", "manufacturing", 2003)]
+
+
+def _reference_design(d, basis, ctx):
+    # The design as built before strata were split from one evaluation:
+    # keep the records with positive capital, evaluate them, keep positive values.
+    capitalized = (r for r in d.records if r.capital is not None and r.capital > 0)
+    ev = evaluate(capitalized, basis, ctx)
+    positive = ev.values > 0
+    n = int(positive.sum())
+    excluded = len(d) - n
+    if n < 3:
+        raise InsufficientDataError(
+            f"need at least 3 usable records to fit, got {n} ({excluded} excluded)"
+        )
+    capital = np.array([r.capital for r in ev.records], dtype=float)[positive]
+    return LogDesign(
+        responses=np.log10(ev.values[positive]),
+        regressors=np.log10(np.column_stack([capital, ev.workers[positive]])),
+        excluded=excluded,
+    )
+
+
+def _reference_fit_by_stratum(d, basis, ctx, pool_years):
+    # Group the records, build a Dataset per stratum and fit each one.
+    groups = {}
+    for record in d.records:
+        key = (record.country, record.sector_class, None if pool_years else record.year)
+        groups.setdefault(key, []).append(record)
+    fits, failures = {}, {}
+    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2] if k[2] is not None else -1)):
+        subset = Dataset(records=tuple(groups[key]), currency_unit=d.currency_unit)
+        try:
+            fits[key] = fit_log_design(_reference_design(subset, basis, ctx))
+        except (DataError, NumericalError) as exc:
+            failures[key] = str(exc)
+    return fits, failures
+
+
+_positive = st.floats(min_value=0.5, max_value=1e4)
+_stratum_records = st.tuples(
+    st.sampled_from(["JP", "US"]),
+    st.sampled_from([2001, 2002]),
+    st.sampled_from(["manufacturing", "non_manufacturing"]),
+    _positive,  # revenue
+    _positive,  # cogs: the gross margin is negative about half the time
+    st.sampled_from([0, 1, 3, 10, 40, 250]),  # workers
+    st.none() | st.just(0.0) | _positive,  # capital
+    st.none() | st.tuples(  # the components, ordinary income first
+        st.none() | st.floats(-500, 500), *[st.none() | st.floats(0, 50)] * 4
+    ),
+)
+# JP 2002 has no macro entry, so the labor-share basis cannot value its records.
+_STRATUM_CTX = MacroContext.from_rows(
+    {"country": country, "year": year, "labor_share": share}
+    for country, year, share in [("JP", 2001, 0.3), ("US", 2001, 0.5), ("US", 2002, 0.7)]
+)
+
+
+@given(
+    st.lists(_stratum_records, max_size=30),
+    st.sampled_from(list(ValueBasis)),
+    st.booleans(),
+    st.booleans(),
+)
+def test_fit_by_stratum_matches_per_stratum_dataset_reference(rows, basis, with_ctx, pool_years):
+    d = Dataset(records=tuple(
+        FirmRecord(firm_id=f"f{i}", year=year, country=country, sector="s",
+                   sector_class=cls, revenue=revenue, cogs=cogs, workers=workers,
+                   capital=capital, **dict(zip(COMPONENT_FIELDS, parts or [None] * 5)))
+        for i, (country, year, cls, revenue, cogs, workers, capital, parts) in enumerate(rows)
+    ))
+    ctx = _STRATUM_CTX if with_ctx else None
+    fits, failures = fit_by_stratum(d, basis, ctx, pool_years=pool_years)
+    expected_fits, expected_failures = _reference_fit_by_stratum(d, basis, ctx, pool_years)
+    assert list(fits) == list(expected_fits) and fits == expected_fits
+    assert list(failures) == list(expected_failures) and failures == expected_failures
+    try:
+        reference = _reference_design(d, basis, ctx)
+    except InsufficientDataError as exc:
+        with pytest.raises(InsufficientDataError, match=re.escape(str(exc))):
+            log_design(d, basis, ctx)
+    else:
+        design = log_design(d, basis, ctx)
+        assert design.excluded == reference.excluded
+        assert np.array_equal(design.responses, reference.responses)
+        assert np.array_equal(design.regressors, reference.regressors)
 
 
 def test_fit_log_design_direct_three_points(make_record, make_dataset):
