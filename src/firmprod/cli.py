@@ -338,6 +338,7 @@ def fit_pareto_cmd(input_path: str, schema_path: str | None, macro_path: str | N
          "tail_fraction", "n", "excluded"),
         fit_rows, cfg, fmt,
     )
+    _echo_excluded(ev)
     click.echo(f"mu = {fit.mu:.6g} (se {fit.se_mu:.2g}, r2 {fit.r2:.4f}); wrote {target}")
 
 
@@ -371,6 +372,7 @@ def pareto_series(input_path: str, schema_path: str | None, macro_path: str | No
                          ("year", "mu", "se_mu", "r2", "tail_fraction"), rows, cfg, fmt)
     for yr in sorted(set(per_year) - set(fits)):
         click.echo(f"year {yr}: no fit (insufficient or degenerate data)", err=True)
+    _echo_excluded(ev)
     click.echo(f"fitted {len(rows)} years; wrote {target}")
 
 

@@ -4,15 +4,23 @@ The canonical interchange format is header-labeled delimited text (comma by
 default). A :class:`CsvSchema` maps file headers to record fields so vendor
 files with arbitrary column names can be ingested without preprocessing.
 Lines starting with ``#`` are treated as comments and skipped.
+
+Parsing streams: each row is converted as it is read. Once the header is
+known, one converter is compiled for the file's column layout; it takes the
+row's cells with one ``itemgetter``, converts them inline and builds the
+:class:`FirmRecord` positionally. A row the converter rejects goes through
+the ordered per-field checks, which give the skip reason.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
+from math import isfinite
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, TextIO
 
@@ -101,6 +109,13 @@ class FirmRecord:
             raise ValidationError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 0:
             raise ValidationError(f"workers must be >= 0, got {self.workers}")
+        try:  # one test for the usual record; the loop names the field otherwise
+            if min(filter(None, (self.revenue, self.cogs, self.total_labor_cost, self.capital,
+                                 self.financial_expense, self.tax_public_charge,
+                                 self.depreciation)), default=0) >= 0:
+                return
+        except TypeError:  # values min() cannot order, such as a str: the loop decides
+            pass
         for name in _NONNEGATIVE_MONEY:
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -126,6 +141,8 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
         object.__setattr__(self, "provenance", tuple(self.provenance))
+        if len(set(map(attrgetter("firm_id", "year"), self.records))) == len(self.records):
+            return
         seen: set[tuple[str, int]] = set()
         dups: list[tuple[str, int]] = []
         for record in self.records:
@@ -239,22 +256,19 @@ class _LineFilter:
     """
 
     def __init__(self, lines: Iterable[str]):
-        self._lines = iter(lines)
         self.lineno = 0
+        self._lines = self._filter(lines)
 
-    def __iter__(self) -> _LineFilter:
-        return self
+    def __iter__(self) -> Iterator[str]:
+        return self._lines
 
-    def __next__(self) -> str:
-        for line in self._lines:
-            self.lineno += 1
+    def _filter(self, lines: Iterable[str]) -> Iterator[str]:
+        for self.lineno, line in enumerate(lines, 1):
             if self.lineno == 1:
                 line = line.removeprefix("\ufeff")
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            return line
-        raise StopIteration
+            if stripped and not stripped.startswith("#"):
+                yield line
 
 
 def _parse_money(text: str, field: str) -> float:
@@ -308,6 +322,39 @@ def _record_from_row(
     return FirmRecord(**values)  # type: ignore[arg-type]
 
 
+def _row_converter(header_index: Mapping[str, int],
+                   schema: CsvSchema) -> Callable[[list[str]], FirmRecord]:
+    """Compile the row conversion for one file layout.
+
+    The converter returns the record :func:`_record_from_row` would build,
+    or raises ``ValueError``, ``IndexError`` or :class:`ValidationError`;
+    a row that raises goes through :func:`_record_from_row`, which owns the
+    skip reasons. Signs are left to :class:`FirmRecord`.
+    """
+    lo, hi = schema.year_range
+    # A missing optional column reads the empty cell the converter appends.
+    take = itemgetter(*(header_index.get(field, -1) for field in CANONICAL_COLUMNS))
+
+    def convert(row: list[str]) -> FirmRecord:
+        row.append("")  # also the first missing cell of a short row, read as empty
+        cells = take(row)
+        # int() and float() accept the whitespace strip() removes, or reject the row
+        firm_id, country, sector = cells[0].strip(), cells[2].strip(), cells[3].strip()
+        year = int(cells[1])
+        revenue = float(cells[5])
+        cogs = float(cells[6])
+        optional = cells[8:]
+        optional = (list(map(float, optional)) if all(optional)
+                    else [float(text) if text.strip() else None for text in optional])
+        if not (firm_id and country and sector and lo <= year <= hi
+                and isfinite(revenue + cogs + sum(filter(None, optional)))):
+            raise ValueError
+        return FirmRecord(firm_id, year, country, sector, cells[4].strip(), revenue, cogs,
+                          int(cells[7]), *optional)
+
+    return convert
+
+
 def parse_firm_records(
     source: str | Path | TextIO | IO[bytes],
     schema: CsvSchema | None = None,
@@ -346,17 +393,19 @@ def parse_firm_records(
             raise RowError(line, reason)
         skipped.append(RowIssue(line, reason))
 
-    def next_row() -> list[str] | None:
-        """The next row csv can split (``None`` at the end); other lines are bad rows."""
+    def split_rows() -> Iterator[list[str]]:
+        """The rows csv can split; any other line is a bad row."""
         while True:
             try:
-                return next(reader, None)
+                yield from reader
+                return
             except csv.Error as exc:  # such as a cell over csv.field_size_limit()
                 bad_row(line_filter.lineno, str(exc))
             except UnicodeDecodeError as exc:
                 raise DataError(f"input is not UTF-8 text: {exc}") from None
 
-    header = next_row()
+    rows = split_rows()
+    header = next(rows, None)
     if header is None:
         raise SchemaError("input has no header row")
 
@@ -369,17 +418,21 @@ def parse_firm_records(
         elif field in MANDATORY_FIELDS:
             raise SchemaError(f"missing mandatory column {column!r} (field {field})")
 
-    for row in iter(next_row, None):
-        line = line_filter.lineno
+    convert = _row_converter(header_index, schema)
+    for row in rows:
         try:
-            record = _record_from_row(row, header_index, schema)
-        except (ValueError, ValidationError) as exc:
-            bad_row(line, str(exc))
+            record = convert(row)
+        except (ValueError, IndexError, ValidationError):
+            try:
+                record = _record_from_row(row, header_index, schema)
+            except (ValueError, ValidationError) as exc:
+                bad_row(line_filter.lineno, str(exc))
+                continue
+        key = (record.firm_id, record.year)
+        if key in seen:
+            bad_row(line_filter.lineno, f"duplicate (firm_id, year) key ({key[0]}, {key[1]})")
             continue
-        if record.key in seen:
-            bad_row(line, f"duplicate (firm_id, year) key ({record.firm_id}, {record.year})")
-            continue
-        seen.add(record.key)
+        seen.add(key)
         records.append(record)
 
     dataset = Dataset(
@@ -414,12 +467,19 @@ def write_firm_records(
             write_firm_records(dataset, fh, schema)
         return
 
-    writer = csv.writer(dest, delimiter=schema.delimiter, lineterminator="\n")
-    writer.writerow([schema.columns[field] for field in CANONICAL_COLUMNS])
+    plain = csv.writer(dest, delimiter=schema.delimiter, lineterminator="\n")
+    # A line whose first cell starts with '#' is quoted, or the parser takes it for a comment.
+    quoted = csv.writer(dest, delimiter=schema.delimiter, lineterminator="\n",
+                        quoting=csv.QUOTE_ALL)
+
+    def writerow(cells: list[str]) -> None:
+        (quoted if cells[0].lstrip().startswith("#") else plain).writerow(cells)
+
+    writerow([schema.columns[field] for field in CANONICAL_COLUMNS])
     field_names = [f.name for f in dataclass_fields(FirmRecord)]
     assert tuple(field_names) == CANONICAL_COLUMNS
     for record in dataset.records:
-        writer.writerow([_format_cell(getattr(record, field)) for field in CANONICAL_COLUMNS])
+        writerow([_format_cell(getattr(record, field)) for field in CANONICAL_COLUMNS])
 
 
 def merge_datasets(

@@ -101,6 +101,10 @@ class SynthSpec:
     currency_unit: str = "synthetic"
 
     def __post_init__(self) -> None:
+        for name in ("n", "seed", "n_sectors", "year"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.noise_sigma < 0:

@@ -306,8 +306,14 @@ _HEADER = "firm_id,year,country,sector,sector_class,revenue,cogs,workers\n"
     ("ingest", "--schema", '{"year_range": 5}'),
     ("ingest", "--schema", '{"columns": 5}'),
     ("measures", "--macro", '"entries"'),
+    ("synth", "--spec", '{"n": 1.5}'),
+    ("synth", "--spec", '{"n": true}'),
+    ("synth", "--spec", '{"n": 5, "seed": 1.5}'),
+    ("synth", "--spec", '{"n": 5, "n_sectors": 2.5}'),
+    ("synth", "--spec", '{"n": 5, "year": 2003.5}'),
 ], ids=["schema-truncated", "macro-truncated", "spec-truncated", "scalar-size-dist",
-        "empty-delimiter", "scalar-year-range", "scalar-columns", "macro-string"])
+        "empty-delimiter", "scalar-year-range", "scalar-columns", "macro-string",
+        "float-n", "bool-n", "float-seed", "float-n-sectors", "float-year"])
 def test_malformed_config_file_is_a_config_error(command, option, text, tmp_path):
     (tmp_path / "config.json").write_text(text)
     (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
@@ -332,6 +338,25 @@ def test_undecodable_or_oversized_input_is_a_data_error(strict, tmp_path):
     assert oversized.returncode == (3 if strict else 0), oversized.stderr
     for result in (undecodable, oversized):
         assert "Traceback" not in result.stderr
+
+
+_COMPONENT_FIRMS = (
+    "firm_id,year,country,sector,sector_class,revenue,cogs,workers,total_labor_cost,"
+    "capital,ordinary_income,financial_expense,tax_public_charge,depreciation\n"
+    "F1,2003,JP,s1,manufacturing,10,4,2,3,5,1,1,0.5,0.5\n"
+    "F2,2003,JP,s1,manufacturing,30,10,3,8,5,5,3,2,2\n"
+    "F3,2003,JP,s2,manufacturing,90,20,4,30,5,20,10,5,5\n"
+    "F4,2003,JP,s2,manufacturing,50,10,5,20,5,10,5,3,\n"  # no depreciation
+)
+
+
+@pytest.mark.parametrize("command", ["fit-pareto", "pareto-series"])
+def test_pareto_commands_report_records_the_basis_could_not_evaluate(runner, command):
+    with runner.isolated_filesystem():
+        Path("firms.csv").write_text(_COMPONENT_FIRMS)
+        result = run_ok(runner, [command, "--input", "firms.csv", "--basis", "av-components",
+                                 "--tail", "whole", "--out", "out"])
+        assert "excluded 1 records the basis could not evaluate" in result.stderr
 
 
 def test_json_format_output(runner):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import csv
 import io
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firmprod import (
@@ -28,7 +29,7 @@ from firmprod.errors import (
     UnitMismatchError,
     ValidationError,
 )
-from firmprod.ingest import SECTOR_CLASSES
+from firmprod.ingest import CANONICAL_COLUMNS, MANDATORY_FIELDS, OPTIONAL_FIELDS, SECTOR_CLASSES
 
 HEADER = (
     "firm_id,year,country,sector,sector_class,revenue,cogs,workers,"
@@ -388,6 +389,26 @@ def test_record_rejects_negative_money(make_record):
         make_record(depreciation=-0.5)
 
 
+_MONEY_FIELDS = ("revenue", "cogs", "total_labor_cost", "capital", "ordinary_income",
+                 "financial_expense", "tax_public_charge", "depreciation")
+
+
+@given(st.fixed_dictionaries({
+    name: st.none() | st.floats() | st.sampled_from([-0.0, -1e-300, 0, -2])
+    for name in _MONEY_FIELDS
+}))
+def test_record_sign_check_matches_the_field_loop(money):
+    negative = [name for name in _MONEY_FIELDS if name != "ordinary_income"
+                and money[name] is not None and money[name] < 0]
+    build = lambda: FirmRecord("F1", 2003, "JP", "s", "manufacturing", workers=1, **money)
+    if negative:
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert str(excinfo.value) == f"{negative[0]} must be >= 0, got {money[negative[0]]}"
+    else:
+        assert build().cogs is money["cogs"]
+
+
 def test_record_rejects_bad_workers(make_record):
     with pytest.raises(ValidationError):
         make_record(workers=-1)
@@ -455,12 +476,12 @@ def test_arbitrary_input_parses_or_raises_a_package_error(body, with_header, str
     assert isinstance(report, ParseReport)
 
 
-# Cells are stripped on parse, a line starting with '#' is a comment, and a
-# row must sit on one line, so names avoid outer spaces, a leading '#' and
-# line or paragraph separators.
+# Cells are stripped on parse and a row must sit on one line, so names avoid
+# outer spaces and line or paragraph separators. A leading '#' is allowed: the
+# writer quotes such a line so that it is not read as a comment.
 _names = st.text(
     st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=8
-).map(str.strip).filter(lambda name: name and not name.startswith("#"))
+).map(str.strip).filter(bool)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _nonnegative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
@@ -491,6 +512,17 @@ def test_write_then_parse_gives_every_record_back(records):
     assert roundtrip(dataset).records == dataset.records
 
 
+def test_firm_id_starting_with_hash_round_trips():
+    records = [FirmRecord("#7", 2003, "JP", "s", "manufacturing", 2.0, 1.0, 3),
+               FirmRecord("F8", 2003, "JP", "#s", "manufacturing", 2.0, 1.0, 3)]
+    buffer = io.StringIO()
+    write_firm_records(Dataset(records=tuple(records)), buffer)
+    assert buffer.getvalue().splitlines()[1].startswith('"#7"')
+    report = parse(buffer.getvalue())
+    assert report.dataset.records == tuple(records)
+    assert report.n_skipped == 0
+
+
 def test_oversized_cell_is_a_skipped_row():
     text = HEADER + "\n" + "F0," + "9" * 200_000 + ",JP,s,manufacturing,1,1,1\n" + ROW
     report = parse(text)
@@ -499,3 +531,196 @@ def test_oversized_cell_is_a_skipped_row():
     assert [r.firm_id for r in report.dataset.records] == ["F1"]
     with pytest.raises(RowError, match="line 2"):
         parse(text, strict=True)
+
+
+# ---------------------------------------------------------------------------
+# the row parser against the per-field reference loop
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceLineFilter:
+    """Non-blank, non-comment lines with their line numbers, one call per line."""
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self.lineno = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        for line in self._lines:
+            self.lineno += 1
+            if self.lineno == 1:
+                line = line.removeprefix("\ufeff")
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            return line
+        raise StopIteration
+
+
+_REFERENCE_NONNEGATIVE = ("revenue", "cogs", "total_labor_cost", "capital",
+                          "financial_expense", "tax_public_charge", "depreciation")
+
+
+def _reference_money(text, field):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{field}: cannot parse {text!r} as a number") from None
+    if value != value or value in (float("inf"), float("-inf")):
+        raise ValueError(f"{field}: non-finite value {text!r}")
+    return value
+
+
+def _reference_record(row, header_index, year_range):
+    """Ordered per-field checks, then the record's own checks, one field at a time."""
+
+    def cell(field):
+        idx = header_index.get(field)
+        if idx is None or idx >= len(row):
+            return None
+        text = row[idx].strip()
+        return text if text else None
+
+    values = {}
+    for field in MANDATORY_FIELDS:
+        text = cell(field)
+        if text is None:
+            raise ValueError(f"{field}: mandatory cell is empty")
+        if field in ("firm_id", "country", "sector", "sector_class"):
+            values[field] = text
+        elif field in ("year", "workers"):
+            try:
+                values[field] = int(text)
+            except ValueError:
+                raise ValueError(f"{field}: cannot parse {text!r} as an integer") from None
+        else:
+            money = _reference_money(text, field)
+            if money < 0:
+                raise ValueError(f"{field}: negative value {money}")
+            values[field] = money
+    lo, hi = year_range
+    if not lo <= values["year"] <= hi:
+        raise ValueError(f"year: {values['year']} outside configured range {lo}..{hi}")
+    for field in OPTIONAL_FIELDS:
+        text = cell(field)
+        values[field] = None if text is None else _reference_money(text, field)
+
+    if values["sector_class"] not in SECTOR_CLASSES:
+        raise ValidationError(
+            f"sector_class must be one of {SECTOR_CLASSES}, got {values['sector_class']!r}")
+    if values["workers"] < 0:
+        raise ValidationError(f"workers must be >= 0, got {values['workers']}")
+    for name in _REFERENCE_NONNEGATIVE:
+        if values[name] is not None and values[name] < 0:
+            raise ValidationError(f"{name} must be >= 0, got {values[name]}")
+    return FirmRecord(**values)
+
+
+def _reference_parse(text, schema, strict):
+    """(records, skipped (line, reason) pairs, strict (line, reason) or None)."""
+    line_filter = _ReferenceLineFilter(io.StringIO(text))
+    reader = csv.reader(line_filter, delimiter=schema.delimiter)
+    positions = {name.strip(): idx for idx, name in enumerate(next(reader))}
+    header_index = {field: positions[schema.columns[field]] for field in CANONICAL_COLUMNS
+                    if schema.columns[field] in positions}
+    records, skipped, seen = [], [], set()
+    for row in reader:
+        line = line_filter.lineno
+        try:
+            record = _reference_record(row, header_index, schema.year_range)
+        except (ValueError, ValidationError) as exc:
+            issue = (line, str(exc))
+        else:
+            if record.key not in seen:
+                seen.add(record.key)
+                records.append(record)
+                continue
+            issue = (line, f"duplicate (firm_id, year) key ({record.firm_id}, {record.year})")
+        if strict:
+            return records, [], issue
+        skipped.append(issue)
+    return records, skipped, None
+
+
+# "\x1f" and "\u3000" are whitespace to str.strip() (float() and int() take only the latter)
+_MONEY_GOOD = ["1", "2.5", " 3e2 ", "0", "-0.0", "1_000", "7.25 ", "\x1f4", "\u30005"]
+_MONEY_BAD = ["-4", "-0.5", "abc", "nan", "inf", " -inf", "1e400", "", " "]
+_OPTIONAL_BAD = ["-4", "-1e-300", "abc", "nan", "inf", "1e400"]
+_GOOD = {
+    "firm_id": ["F1", " F2", "F3 ", "#F4"],
+    "year": ["2003", " 2004 ", "2005", "2004\x1f", "\u30002003"],
+    "country": ["JP", " US"],
+    "sector": ["s", "t "],
+    "sector_class": ["manufacturing", " non_manufacturing "],
+    "workers": ["1", " 7 ", "0", "12", "\x1f3", "\u30009"],
+}
+_BAD = {
+    "firm_id": ["", "  "],
+    "year": ["", "1850", "2200", "20x3", "2003.0", "-5"],
+    "country": ["", " "],
+    "sector": ["", " "],
+    "sector_class": ["", "services", "Manufacturing"],
+    "workers": ["", "-3", "x", "2.5"],
+}
+
+
+def _cell(field, bad):
+    optional = field in OPTIONAL_FIELDS
+    if bad:
+        return st.sampled_from(_BAD.get(field, _OPTIONAL_BAD if optional else _MONEY_BAD))
+    return st.sampled_from(_GOOD.get(field, _MONEY_GOOD + ["", " "] * optional))
+
+
+@st.composite
+def _row_files(draw):
+    """(text, schema): canonical CSV or a renamed tab-separated layout."""
+    canonical = draw(st.booleans())
+    delimiter = "," if canonical else "\t"
+    columns = {field: field if canonical else f"Vendor{field.title()}"
+               for field in CANONICAL_COLUMNS}
+    present = [field for field in OPTIONAL_FIELDS if draw(st.booleans())]
+    extra = ["note"] if draw(st.booleans()) else []
+    fields = draw(st.permutations(list(MANDATORY_FIELDS) + present + extra))
+    schema = CsvSchema(columns=None if canonical else columns, delimiter=delimiter,
+                       year_range=draw(st.sampled_from([(1980, 2030), (2003, 2004)])))
+    lines = [delimiter.join(columns.get(field, field) for field in fields)]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["# comment", "  # indented", "#F1,2003"])))
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["", "   "])))
+        else:
+            # up to three bad cells, so that the order of the checks shows
+            bad = draw(st.sets(st.sampled_from(fields), max_size=3))
+            cells = [draw(_cell(field if field != "note" else "revenue", field in bad))
+                     for field in fields]
+            change = draw(st.integers(-3, 6))
+            if change < 0:  # a short row
+                cells = cells[:change]
+            elif change > 3:  # a row with extra trailing cells
+                cells += [draw(st.sampled_from(_MONEY_GOOD)) for _ in range(change - 3)]
+            lines.append(delimiter.join(cells))
+    return "\n".join(lines) + "\n", schema
+
+
+def _fields(record):
+    return tuple(repr(getattr(record, field)) for field in CANONICAL_COLUMNS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_files(), st.booleans())
+def test_parser_matches_the_reference_row_loop(row_file, strict):
+    text, schema = row_file
+    records, skipped, row_error = _reference_parse(text, schema, strict)
+    try:
+        report = parse_firm_records(io.StringIO(text), schema, strict=strict)
+    except RowError as exc:
+        assert (exc.line, exc.reason) == row_error
+        return
+    assert row_error is None
+    assert [_fields(r) for r in report.dataset.records] == [_fields(r) for r in records]
+    assert [(issue.line, issue.reason) for issue in report.skipped] == skipped
