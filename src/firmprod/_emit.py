@@ -63,6 +63,27 @@ def header_lines(cfg_hash: str, rows: int) -> list[str]:
     ]
 
 
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+def _csv_line(cells: Sequence[str]) -> str:
+    """Cells joined by commas, quoted as a CSV reader needs.
+
+    A cell holding a comma, quote, CR or LF is quoted, and so is a first
+    cell starting with ``#`` (after leading whitespace), which a reader
+    would otherwise take for a comment line.
+    """
+    line = ",".join(cells)
+    if (line.count(",") == len(cells) - 1 and '"' not in line and "\n" not in line
+            and "\r" not in line and not line.lstrip().startswith("#")):
+        return line
+    quoted = [_quote(cell) if any(ch in cell for ch in ',"\r\n') else cell for cell in cells]
+    if cells and cells[0].lstrip().startswith("#"):
+        quoted[0] = _quote(cells[0])
+    return ",".join(quoted)
+
+
 def write_table_csv(
     path: str | Path,
     columns: Sequence[str],
@@ -70,9 +91,9 @@ def write_table_csv(
     cfg_hash: str,
 ) -> None:
     lines = header_lines(cfg_hash, len(rows))
-    lines.append(",".join(columns))
+    lines.append(_csv_line(columns))
     for row in rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
+        lines.append(_csv_line([format_cell(cell) for cell in row]))
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

@@ -30,7 +30,7 @@ from .equilibrium import (
     marginal_labor_productivity,
     simulate_reallocation,
 )
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, ValidationError
 from .ingest import (
     CsvSchema,
     ParseReport,
@@ -152,7 +152,10 @@ def synth(spec_path: str, seed: int | None, out_dir: str) -> None:
     spec = SynthSpec.from_json(spec_path)
     if seed is not None:
         spec = replace(spec, seed=seed)
-    dataset = gen_cobb_douglas_firms(spec)
+    try:
+        dataset = gen_cobb_douglas_firms(spec)
+    except ValidationError as exc:  # the spec alone decides every generated value
+        raise ConfigError(f"{spec_path}: bad synth spec: {exc}") from exc
     cfg = config_hash({"command": "synth", "spec": spec_path, "seed": spec.seed})
 
     buffer = io.StringIO()
@@ -270,6 +273,8 @@ def fit_production(input_path: str, schema_path: str | None, macro_path: str | N
                    basis: str, pool_years: bool, rts_tol: float, strict: bool,
                    out_dir: str, fmt: str) -> None:
     """Cobb-Douglas fits per (country, sector_class, year) stratum."""
+    if not rts_tol > 0:  # also refuses nan
+        raise ConfigError(f"--rts-tol must be > 0, got {rts_tol}")
     report = _load(input_path, schema_path, strict)
     ctx = _load_macro(macro_path)
     fits, failures = fit_by_stratum(report.dataset, _BASIS_FLAGS[basis], ctx,

@@ -240,37 +240,38 @@ def simulate_reallocation(
     betas = np.array([f.beta for f in firms])
     capitals = np.array([f.capital for f in firms])
     labors = np.array([f.labor for f in firms], dtype=float)
-    total_labor0 = float(labors.sum())
 
     # Marginal product is mp_coef * labor**mp_exp and output is
     # out_coef * labor**beta; only the labor factor changes during the run.
     # mp_coef keeps the left-to-right order of beta*scale*capital**alpha
-    # (not betas * out_coef), so every value matches the plain formula.
-    out_coef = scales * capitals**alphas
-    mp_coef = betas * scales * capitals**alphas
+    # (not betas * out_coef), the operand order of the plain formula.
+    capital_factor = capitals**alphas
+    out_coef = scales * capital_factor
+    mp_coef = betas * scales * capital_factor
     mp_exp = betas - 1.0
     mp = mp_coef * labors**mp_exp
     outs = out_coef * labors**betas
     # The adaptive overshoot test probes one firm at a time, many times per
-    # move; Python floats are much cheaper there than numpy scalars and
-    # give the same results (scalar pow on both).
+    # move; Python floats are much cheaper there than numpy scalars. Python's
+    # ** is the C library's pow, while numpy's vectorised ** may differ from
+    # it in the last bit where numpy uses AVX-512, so coef need not equal
+    # mp_coef there, and traces can differ between hosts.
     coef = [b * s * k**a for b, s, k, a in
             zip(betas.tolist(), scales.tolist(), capitals.tolist(), alphas.tolist())]
     expo = [b - 1.0 for b in betas.tolist()]
 
-    lowest, highest = float(mp.min()), float(mp.max())
-    spread = (highest - lowest) / lowest
-    steps = [
-        TraceStep(
-            iteration=0,
-            mover_from=None,
-            mover_to=None,
-            delta_labor=0.0,
-            max_spread=spread,
-            total_output=float(np.sum(outs)),
-            total_labor=total_labor0,
-        )
-    ]
+    steps: list[TraceStep] = []
+
+    def record(iteration: int, mover_from: str | None, mover_to: str | None,
+               delta: float) -> tuple[float, float, float]:
+        """Trace the current state; return the lowest and highest marginal product and spread."""
+        lowest, highest = float(mp.min()), float(mp.max())
+        spread = (highest - lowest) / lowest
+        steps.append(TraceStep(iteration, mover_from, mover_to, delta, spread,
+                               float(np.sum(outs)), float(labors.sum())))
+        return lowest, highest, spread
+
+    lowest, highest, spread = record(0, None, None, 0.0)
     converged = spread <= tol
 
     iteration = 0
@@ -309,19 +310,7 @@ def simulate_reallocation(
         moved = labors[pair]
         mp[pair] = mp_coef[pair] * moved**mp_exp[pair]
         outs[pair] = out_coef[pair] * moved**betas[pair]
-        lowest, highest = float(mp.min()), float(mp.max())
-        spread = (highest - lowest) / lowest
-        steps.append(
-            TraceStep(
-                iteration=iteration,
-                mover_from=ids[donor],
-                mover_to=ids[recipient],
-                delta_labor=float(delta),
-                max_spread=spread,
-                total_output=float(np.sum(outs)),
-                total_labor=float(labors.sum()),
-            )
-        )
+        lowest, highest, spread = record(iteration, ids[donor], ids[recipient], float(delta))
         converged = spread <= tol
 
     final_firms = tuple(

@@ -109,13 +109,6 @@ class FirmRecord:
             raise ValidationError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 0:
             raise ValidationError(f"workers must be >= 0, got {self.workers}")
-        try:  # one test for the usual record; the loop names the field otherwise
-            if min(filter(None, (self.revenue, self.cogs, self.total_labor_cost, self.capital,
-                                 self.financial_expense, self.tax_public_charge,
-                                 self.depreciation)), default=0) >= 0:
-                return
-        except TypeError:  # values min() cannot order, such as a str: the loop decides
-            pass
         for name in _NONNEGATIVE_MONEY:
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -366,9 +359,10 @@ def parse_firm_records(
 
     Bad rows are skipped and reported in the returned :class:`ParseReport`
     unless ``strict`` is set, in which case the first bad row raises
-    :class:`RowError`. A missing mandatory column always raises
-    :class:`SchemaError`. Row order is preserved; a repeated
-    (firm_id, year) key within one file is a row error.
+    :class:`RowError`. A missing mandatory column, or a mapped column that
+    the header names twice, always raises :class:`SchemaError`. Row order
+    is preserved; a repeated (firm_id, year) key within one file is a row
+    error.
     """
     schema = schema or CsvSchema()
     if isinstance(source, (str, Path)):
@@ -409,10 +403,13 @@ def parse_firm_records(
     if header is None:
         raise SchemaError("input has no header row")
 
-    positions = {name.strip(): idx for idx, name in enumerate(header)}
+    names = [name.strip() for name in header]
+    positions = {name: idx for idx, name in enumerate(names)}
     header_index: dict[str, int] = {}
     for field in CANONICAL_COLUMNS:
         column = schema.columns[field]
+        if names.count(column) > 1:
+            raise SchemaError(f"column {column!r} (field {field}) appears more than once")
         if column in positions:
             header_index[field] = positions[column]
         elif field in MANDATORY_FIELDS:

@@ -18,6 +18,7 @@ from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import isfinite
 from operator import attrgetter
 from pathlib import Path
 
@@ -62,6 +63,10 @@ class MacroEntry:
     exchange_rate: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("labor_share", "gdp", "exchange_rate"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.labor_share < 0:
             raise ValidationError(f"labor_share must be >= 0, got {self.labor_share}")
         if self.labor_share >= 1:
@@ -181,25 +186,15 @@ def added_value(r: FirmRecord, basis: ValueBasis, ctx: MacroContext | None = Non
     raise ValueError(f"not an added-value basis: {basis}")
 
 
-def _value(r: FirmRecord, basis: ValueBasis, ctx: MacroContext | None) -> float:
-    if basis is ValueBasis.GROSS_MARGIN:
-        return gross_margin(r)
-    return added_value(r, basis, ctx)
-
-
 def labor_productivity(
     r: FirmRecord,
     basis: ValueBasis = ValueBasis.GROSS_MARGIN,
     ctx: MacroContext | None = None,
 ) -> ProductivityMeasure:
-    """Value per worker. Records with zero workers are refused, never inf."""
-    if r.workers == 0:
-        raise ZeroWorkersError(f"record ({r.firm_id}, {r.year}) has zero workers")
-    return ProductivityMeasure(
-        basis=basis,
-        value=_value(r, basis, ctx) / r.workers,
-        workers=r.workers,
-    )
+    """Value per worker, as :func:`evaluate` gives it. Records with zero
+    workers are refused, never inf."""
+    ev = evaluate((r,), basis, ctx, strict=True)
+    return ProductivityMeasure(basis=basis, value=float(ev.productivity[0]), workers=r.workers)
 
 
 def _check_mode(mode: str) -> None:
@@ -288,7 +283,8 @@ def evaluate(
                     f"record ({record.firm_id}, {record.year}) has zero workers; "
                     "filter with require_positive=('workers',) first"
                 )
-            values.append(_value(record, basis, ctx))
+            values.append(gross_margin(record) if basis is ValueBasis.GROSS_MARGIN
+                          else added_value(record, basis, ctx))
         except DataError:
             if strict:
                 raise

@@ -194,7 +194,7 @@ def fit_cobb_douglas(
 
 def classify_returns(fit: ProductionFit, tol: float = RTS_TOLERANCE) -> ReturnsToScale:
     """Classify returns to scale from alpha + beta against a tolerance band."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     total = fit.sum_elasticities
     if abs(total - 1.0) <= tol:

@@ -9,18 +9,34 @@ Randomness uses numpy's PCG64 consumed in firm-major order: each firm owns
 four consecutive uniform draws (size, size auxiliary, and a Box-Muller pair
 for capital scatter and value noise), always all four. Growing n only
 appends draws, so earlier firms are bit-identical across population sizes,
-and output is stable across runs and platforms.
+and output is stable across runs on one host. It is not guaranteed across
+hosts: numpy's vectorised ``**``, ``exp`` and ``log`` may round differently
+depending on the CPU features it dispatches to (AVX-512 or not).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import isfinite
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .ingest import SECTOR_CLASSES, Dataset, FirmRecord, read_json_config
+
+
+def _check_reals(obj: object, *names: str) -> None:
+    """Raise unless each named field holds a finite real number; a bool does not count."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            finite = isinstance(value, Real) and not isinstance(value, bool) and isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +47,7 @@ class ParetoSize:
     xmin: float
 
     def __post_init__(self) -> None:
+        _check_reals(self, "mu", "xmin")
         if self.mu <= 0 or self.xmin <= 0:
             raise ValidationError("ParetoSize needs mu > 0 and xmin > 0")
 
@@ -43,6 +60,7 @@ class LognormalSize:
     sigma_log: float
 
     def __post_init__(self) -> None:
+        _check_reals(self, "mean_log", "sigma_log")
         if self.sigma_log < 0:
             raise ValidationError("sigma_log must be >= 0")
 
@@ -54,6 +72,7 @@ class FixedSize:
     workers: float
 
     def __post_init__(self) -> None:
+        _check_reals(self, "workers")
         if self.workers < 1:
             raise ValidationError("fixed size must be >= 1")
 
@@ -75,6 +94,7 @@ class CapitalRule:
     sigma: float = 0.3
 
     def __post_init__(self) -> None:
+        _check_reals(self, "coeff", "exponent", "sigma")
         if self.coeff <= 0:
             raise ValidationError("coeff must be > 0")
         if self.sigma < 0:
@@ -105,6 +125,7 @@ class SynthSpec:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        _check_reals(self, "log_a", "alpha", "beta", "noise_sigma", "labor_share")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.noise_sigma < 0:
@@ -171,7 +192,10 @@ def _draw_all_workers(dist: SizeDist, u_size: np.ndarray, u_aux: np.ndarray) -> 
         raw = np.exp(dist.mean_log + dist.sigma_log * z)
     else:
         raw = np.full(len(u_size), float(dist.workers))
-    return np.maximum(1, np.rint(raw)).astype(int)
+    sizes = np.maximum(1, np.rint(raw))
+    if not (sizes < 2.0**63).all():  # also false for nan
+        raise ValidationError("a drawn worker count exceeds the integer range")
+    return sizes.astype(int)
 
 
 def _money_fields(value: float, labor_share: float) -> dict[str, float]:
@@ -181,9 +205,12 @@ def _money_fields(value: float, labor_share: float) -> dict[str, float]:
     the realized labor share equal the configured one, and the accounting
     components sum to the same added value as the labor-share form.
     """
+    revenue = 2.0 * value
     labor_cost = value * labor_share / (1.0 - labor_share)
+    if not (isfinite(revenue) and isfinite(labor_cost)):
+        raise ValidationError(f"generated value {value!r} overflows a money cell")
     return {
-        "revenue": 2.0 * value,
+        "revenue": revenue,
         "cogs": value,
         "total_labor_cost": labor_cost,
         "ordinary_income": value,
@@ -211,6 +238,8 @@ def gen_cobb_douglas_firms(spec: SynthSpec) -> Dataset:
     rule = spec.capital_rule
     capital = rule.coeff * workers.astype(float) ** rule.exponent
     capital = capital * 10.0 ** (rule.sigma * z_capital)
+    if not np.isfinite(capital).all():
+        raise ValidationError("generated capital overflows: check capital_rule and size_dist")
     log_values = (
         spec.log_a
         + spec.alpha * np.log10(capital)

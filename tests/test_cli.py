@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 import firmprod
 from firmprod._emit import format_cell
 from firmprod.cli import main
+from firmprod.ingest import Dataset, FirmRecord, write_firm_records
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -311,9 +313,24 @@ _HEADER = "firm_id,year,country,sector,sector_class,revenue,cogs,workers\n"
     ("synth", "--spec", '{"n": 5, "seed": 1.5}'),
     ("synth", "--spec", '{"n": 5, "n_sectors": 2.5}'),
     ("synth", "--spec", '{"n": 5, "year": 2003.5}'),
+    ("synth", "--spec", '{"n": 5, "log_a": "x"}'),
+    ("synth", "--spec", '{"n": 5, "alpha": null}'),
+    ("synth", "--spec", '{"n": 5, "beta": "0.6"}'),
+    ("synth", "--spec",
+     '{"n": 5, "size_dist": {"kind": "lognormal", "mean_log": "x", "sigma_log": 1}}'),
+    ("synth", "--spec", '{"n": 5, "capital_rule": {"exponent": "x"}}'),
+    ("synth", "--spec", '{"n": 5, "alpha": NaN}'),
+    ("synth", "--spec", '{"n": 5, "noise_sigma": true}'),
+    ("synth", "--spec", '{"n": 5, "log_a": 1e308}'),
+    ("synth", "--spec", '{"n": 5, "size_dist": {"kind": "fixed", "workers": Infinity}}'),
+    ("synth", "--spec", '{"n": 5, "size_dist": {"kind": "fixed", "workers": 1e300}}'),
+    ("synth", "--spec", '{"n": 5, "capital_rule": {"exponent": 400}}'),
 ], ids=["schema-truncated", "macro-truncated", "spec-truncated", "scalar-size-dist",
         "empty-delimiter", "scalar-year-range", "scalar-columns", "macro-string",
-        "float-n", "bool-n", "float-seed", "float-n-sectors", "float-year"])
+        "float-n", "bool-n", "float-seed", "float-n-sectors", "float-year",
+        "string-log-a", "null-alpha", "string-beta", "string-mean-log", "string-exponent",
+        "nan-alpha", "bool-noise-sigma", "overflowing-value", "infinite-workers",
+        "overflowing-workers", "overflowing-capital"])
 def test_malformed_config_file_is_a_config_error(command, option, text, tmp_path):
     (tmp_path / "config.json").write_text(text)
     (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
@@ -322,6 +339,53 @@ def test_malformed_config_file_is_a_config_error(command, option, text, tmp_path
     assert result.returncode == 2, result.stderr
     assert "error (config)" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_nonpositive_rts_tol_is_a_config_error(tol, tmp_path):
+    (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
+    result = run_process(tmp_path, "fit-production", "--input", "firms.csv",
+                         "--rts-tol", tol, "--out", "out")
+    assert result.returncode == 2, result.stderr
+    assert "error (config): --rts-tol must be > 0" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("entry", [
+    {"labor_share": float("nan"), "gdp": 1e6},
+    {"labor_share": 0.5, "gdp": float("inf")},
+    {"labor_share": 0.5, "gdp": 1e6, "exchange_rate": float("nan")},
+], ids=["nan-labor-share", "infinite-gdp", "nan-exchange-rate"])
+def test_non_finite_macro_entry_is_a_data_error(entry, tmp_path):
+    (tmp_path / "macro.json").write_text(json.dumps([{"country": "JP", "year": 2003, **entry}]))
+    (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
+    result = run_process(tmp_path, "measures", "--input", "firms.csv", "--macro", "macro.json",
+                         "--basis", "av-share", "--out", "out")
+    assert result.returncode == 3, result.stderr
+    assert "must be finite" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_tables_quote_cells_a_csv_reader_would_split(runner):
+    cells = [("Acme, Inc", "steel, raw"), ("#7", 'say "hi"'), ("F8", "#tin\ncan")]
+    with runner.isolated_filesystem():
+        records = [FirmRecord(firm_id, 2003, "JP", sector, "manufacturing", 10.0 + i, 1.0, 2)
+                   for i, (firm_id, sector) in enumerate(cells)]
+        write_firm_records(Dataset(tuple(records)), "firms.csv")
+        run_ok(runner, ["measures", "--input", "firms.csv", "--out", "out"])
+
+        def read_back(name):
+            with open(f"out/{name}.csv", newline="") as fh:
+                lines = [line for line in fh if not line.startswith("#")]
+            return list(csv.DictReader(lines))
+
+        firms = read_back("firm_productivity")
+        assert [(r["firm_id"], r["sector"]) for r in firms] == cells
+        assert [r["productivity"] for r in firms] == ["4.5", "5", "5.5"]
+        sectors = read_back("sector_productivity")
+        assert sorted(r["sector"] for r in sectors) == sorted(sector for _, sector in cells)
+        assert all(r["n_firms"] == "1" for r in sectors)
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])

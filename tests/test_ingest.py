@@ -87,6 +87,25 @@ def test_missing_mandatory_column_names_the_column():
         parse(header + "\nF1,2003,JP,steel,manufacturing,100,40,30,50,,,,\n")
 
 
+@pytest.mark.parametrize("column, schema", [
+    ("revenue", None),
+    ("capital", None),
+    ("Sales", CsvSchema(columns={"revenue": "Sales"})),
+])
+def test_repeated_mapped_column_is_a_schema_error(column, schema):
+    header = HEADER.replace("revenue", "Sales") if schema else HEADER
+    row = "F1,2003,JP,steel,manufacturing,100,40,10,30,50,,,,"
+    for strict in (False, True):
+        with pytest.raises(SchemaError, match=f"{column!r}.*more than once"):
+            parse(f"{header},{column}\n{row},5\n", schema, strict=strict)
+
+
+def test_repeated_unmapped_column_is_ignored():
+    report = parse(f"{HEADER},note,note\nF1,2003,JP,steel,manufacturing,100,40,10,,,,,,,a,b\n")
+    (record,) = report.dataset.records
+    assert record.revenue == 100.0
+
+
 def test_optional_columns_may_be_entirely_absent():
     header = "firm_id,year,country,sector,sector_class,revenue,cogs,workers"
     report = parse(header + "\nF1,2003,JP,steel,manufacturing,100,40,10\n")
