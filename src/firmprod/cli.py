@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 from contextlib import suppress
 from dataclasses import replace
-from operator import attrgetter
 from pathlib import Path
 
 import click
@@ -34,6 +33,7 @@ from .errors import ConfigError, DataError, NumericalError, ValidationError
 from .ingest import (
     CsvSchema,
     ParseReport,
+    filter_dataset,
     parse_firm_records,
     read_json_config,
     write_firm_records,
@@ -129,7 +129,7 @@ def _evaluate_input(input_path: str, schema_path: str | None, strict: bool,
     """Parse the input, keep one year if asked, and evaluate each record once."""
     dataset = _load(input_path, schema_path, strict).dataset
     ctx = _load_macro(macro_path)
-    records = dataset if year is None else (r for r in dataset if r.year == year)
+    records = dataset if year is None else filter_dataset(dataset, year=year)
     return evaluate(records, _BASIS_FLAGS[basis], ctx), ctx
 
 
@@ -181,7 +181,7 @@ def ingest(input_path: str, schema_path: str | None, strict: bool, out_dir: str,
     rows = [
         ("records", len(dataset)),
         ("skipped_rows", report.n_skipped),
-        ("firms", len({r.firm_id for r in dataset.records})),
+        ("firms", len(set(dataset.column("firm_id").tolist()))),
         ("countries", ";".join(dataset.countries())),
         ("year_min", years[0] if years else None),
         ("year_max", years[-1] if years else None),
@@ -213,13 +213,15 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
                        "macro": macro_path, "basis": basis, "year": year, "mode": mode})
 
     out = Path(out_dir)
+    keys = [ev.column(name).tolist()
+            for name in ("firm_id", "year", "country", "sector", "sector_class")]
     firm_table = [
         (
-            r.firm_id, r.year, r.country, r.sector, r.sector_class, r.workers,
-            value, productivity,
-            _log10_or_none(float(r.workers)), _log10_or_none(productivity),
+            *key, workers, value, productivity,
+            _log10_or_none(float(workers)), _log10_or_none(productivity),
         )
-        for r, value, productivity in zip(ev.records, ev.values.tolist(), ev.productivity.tolist())
+        for *key, workers, value, productivity in zip(
+            *keys, ev.workers.tolist(), ev.values.tolist(), ev.productivity.tolist())
     ]
     firm_target = write_table(
         out / "firm_productivity",
@@ -228,7 +230,7 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
         firm_table, cfg, fmt,
     )
 
-    aggregates = ev.pool_by(attrgetter("sector"), mode)
+    aggregates = ev.pool_by("sector", mode)
     sector_table = [
         (sector, agg.n_firms, agg.total_value, agg.total_workers, agg.productivity,
          _log10_or_none(agg.productivity))
@@ -245,9 +247,9 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
         # Coverage needs an added value: gross margin falls back to the labor-share form.
         coverage = ev
         if _BASIS_FLAGS[basis] is ValueBasis.GROSS_MARGIN:
-            coverage = evaluate(ev.records, ValueBasis.ADDED_VALUE_LABOR_SHARE, ctx)
+            coverage = evaluate(ev, ValueBasis.ADDED_VALUE_LABOR_SHARE, ctx)
         coverage_rows = []
-        for (country, yr), agg in sorted(coverage.pool_by(attrgetter("country", "year")).items()):
+        for (country, yr), agg in sorted(coverage.pool_by(("country", "year")).items()):
             with suppress(DataError):  # a cell without GDP is left out
                 coverage_rows.append((country, yr, agg.total_value / ctx.gdp(country, yr)))
         if coverage_rows:
@@ -255,7 +257,7 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
                         coverage_rows, cfg, fmt)
 
     _echo_excluded(ev)
-    click.echo(f"wrote measures for {len(ev.records)} firms to {out} ({firm_target.suffix[1:]})")
+    click.echo(f"wrote measures for {len(ev.rows)} firms to {out} ({firm_target.suffix[1:]})")
 
 
 @main.command("fit-production")
@@ -365,7 +367,7 @@ def pareto_series(input_path: str, schema_path: str | None, macro_path: str | No
     """Tail-exponent fit per year."""
     ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
     tail = TailSpec.parse(tail_text) if tail_text else default_tail(level)
-    per_year = ev.split(attrgetter("year"))
+    per_year = ev.split("year")
     fits = fit_years(per_year, lambda part: level_values(part, level), tail)
 
     cfg = config_hash({"command": "pareto-series", "input": input_path,
@@ -394,7 +396,7 @@ def prod_series(input_path: str, schema_path: str | None, macro_path: str | None
                 basis: str, mode: str, strict: bool, out_dir: str, fmt: str) -> None:
     """Pooled productivity by sector class over time."""
     ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
-    series = ev.pool_by(attrgetter("year", "sector_class"), mode)
+    series = ev.pool_by(("year", "sector_class"), mode)
     rows = [
         (yr, sector_class, agg.n_firms, agg.total_value, agg.total_workers, agg.productivity)
         for (yr, sector_class), agg in sorted(series.items())

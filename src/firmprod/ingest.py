@@ -3,26 +3,27 @@
 The canonical interchange format is header-labeled delimited text (comma by
 default). A :class:`CsvSchema` maps file headers to record fields so vendor
 files with arbitrary column names can be ingested without preprocessing.
-Lines starting with ``#`` are treated as comments and skipped.
+A line that starts a record with ``#`` is a comment and is skipped; inside a
+quoted cell such a line is data. Records are stored as columns (see
+:mod:`firmprod.records`).
 
-Parsing streams: each row is converted as it is read. Once the header is
-known, one converter is compiled for the file's column layout; it takes the
-row's cells with one ``itemgetter``, converts them inline and builds the
-:class:`FirmRecord` positionally. A row the converter rejects goes through
-the ordered per-field checks, which give the skip reason.
+Parsing fills the columns in blocks of rows. Each column of a block is
+converted with one ``map`` and checked column-wise; only a row that fails a
+check goes through :func:`_record_from_row`, which owns the skip reasons.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, fields as dataclass_fields
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
-from operator import attrgetter, itemgetter
+from itertools import chain
 from pathlib import Path
 from typing import IO, TextIO
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -33,130 +34,27 @@ from .errors import (
     UnitMismatchError,
     ValidationError,
 )
-
-SECTOR_CLASSES = ("manufacturing", "non_manufacturing")
-
-#: Mandatory columns: a file missing any of these cannot be ingested.
-MANDATORY_FIELDS = (
-    "firm_id",
-    "year",
-    "country",
-    "sector",
-    "sector_class",
-    "revenue",
-    "cogs",
-    "workers",
-)
-
-#: Optional financial components; absent cells stay absent (``None``), never 0.
-OPTIONAL_FIELDS = (
-    "total_labor_cost",
-    "capital",
-    "ordinary_income",
-    "financial_expense",
-    "tax_public_charge",
-    "depreciation",
-)
-
-CANONICAL_COLUMNS = MANDATORY_FIELDS + OPTIONAL_FIELDS
-
-#: Money fields that must be non-negative when present (ordinary_income is
-#: exempt: losses are legitimate).
-_NONNEGATIVE_MONEY = (
-    "revenue",
-    "cogs",
-    "total_labor_cost",
-    "capital",
-    "financial_expense",
-    "tax_public_charge",
-    "depreciation",
+from .records import (  # the record types and field names stay importable from here
+    _INT64_MAX,
+    _NONNEGATIVE_MONEY,
+    CANONICAL_COLUMNS,
+    KEY_FIELDS,
+    MANDATORY_FIELDS,
+    MONEY_FIELDS,
+    OPTIONAL_FIELDS,
+    SECTOR_CLASSES,
+    Columns,
+    Dataset,
+    FirmRecord,
+    _check_fields,
 )
 
 DEFAULT_YEAR_RANGE = (1980, 2030)
 
-
-@dataclass(frozen=True)
-class FirmRecord:
-    """One firm-year of financials.
-
-    Monetary amounts are in thousands of the dataset's declared currency
-    unit. ``workers`` counts full-time employees only. Optional components
-    are ``None`` when the source did not report them; downstream operations
-    refuse incomplete records instead of treating absence as zero.
-    """
-
-    firm_id: str
-    year: int
-    country: str
-    sector: str
-    sector_class: str
-    revenue: float
-    cogs: float
-    workers: int
-    total_labor_cost: float | None = None
-    capital: float | None = None
-    ordinary_income: float | None = None
-    financial_expense: float | None = None
-    tax_public_charge: float | None = None
-    depreciation: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.sector_class not in SECTOR_CLASSES:
-            raise ValidationError(
-                f"sector_class must be one of {SECTOR_CLASSES}, got {self.sector_class!r}"
-            )
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-            raise ValidationError(f"workers must be an integer, got {self.workers!r}")
-        if self.workers < 0:
-            raise ValidationError(f"workers must be >= 0, got {self.workers}")
-        for name in _NONNEGATIVE_MONEY:
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValidationError(f"{name} must be >= 0, got {value}")
-
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.firm_id, self.year)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """An immutable collection of firm records sharing one currency unit.
-
-    (firm_id, year) keys are unique; duplicate keys must be resolved by
-    :func:`merge_datasets` before a Dataset can be built.
-    """
-
-    records: tuple[FirmRecord, ...]
-    currency_unit: str = "unspecified"
-    provenance: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-        if len(set(map(attrgetter("firm_id", "year"), self.records))) == len(self.records):
-            return
-        seen: set[tuple[str, int]] = set()
-        dups: list[tuple[str, int]] = []
-        for record in self.records:
-            if record.key in seen:
-                dups.append(record.key)
-            seen.add(record.key)
-        if dups:
-            shown = ", ".join(f"({fid}, {yr})" for fid, yr in dups[:5])
-            raise ValidationError(f"duplicate (firm_id, year) keys: {shown}")
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[FirmRecord]:
-        return iter(self.records)
-
-    def years(self) -> tuple[int, ...]:
-        return tuple(sorted({r.year for r in self.records}))
-
-    def countries(self) -> tuple[str, ...]:
-        return tuple(sorted({r.country for r in self.records}))
+#: Rows converted together by :func:`parse_firm_records` (and written together by
+#: :func:`write_firm_records`). A block's cells all live at once, so a larger
+#: block raises peak memory; it does not make parsing faster.
+_BLOCK_ROWS = 1024
 
 
 class MergePolicy(Enum):
@@ -174,6 +72,7 @@ class CsvSchema:
     ``columns`` maps record field names to the header names used in the
     file; unmapped fields default to their canonical names. Optional fields
     whose column is missing entirely are treated as absent for every row.
+    Two fields can not read the same column.
     """
 
     columns: Mapping[str, str] = None  # type: ignore[assignment]
@@ -189,6 +88,13 @@ class CsvSchema:
         for field in CANONICAL_COLUMNS:
             mapping.setdefault(field, field)
         object.__setattr__(self, "columns", mapping)
+        readers: dict[str, list[str]] = {}
+        for field, column in mapping.items():
+            readers.setdefault(column, []).append(field)
+        for column, fields in readers.items():
+            if len(fields) > 1:
+                raise SchemaError(f"column {column!r} is mapped to more than one field: "
+                                  + ", ".join(fields))
         if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
             raise SchemaError(f"delimiter must be one character, got {self.delimiter!r}")
         if not (isinstance(self.year_range, (tuple, list)) and len(self.year_range) == 2
@@ -198,6 +104,8 @@ class CsvSchema:
         lo, hi = self.year_range
         if lo > hi:
             raise SchemaError(f"year_range lower bound {lo} exceeds upper bound {hi}")
+        if not -_INT64_MAX <= lo <= hi <= _INT64_MAX:
+            raise SchemaError(f"year_range must lie within +-{_INT64_MAX}, got {self.year_range}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> CsvSchema:
@@ -241,27 +149,37 @@ class ParseReport:
 
 
 class _LineFilter:
-    """Yields non-blank, non-comment lines while tracking source line numbers.
+    """Feeds the csv reader its lines while tracking source line numbers.
 
-    A UTF-8 byte-order mark in front of the first line is dropped. Assumes
-    one CSV row per physical line (no quoted newlines), which holds for
-    every file this package writes.
+    A line that would start a record is dropped when it is blank or its
+    first non-blank character is ``#``. A line the reader takes while
+    inside a quoted cell is data, whatever it holds; the reader's consumer
+    sets ``record_start`` after each row (or csv error) it takes. A UTF-8
+    byte-order mark in front of the first line is dropped.
     """
 
     def __init__(self, lines: Iterable[str]):
         self.lineno = 0
+        self.record_start = True
         self._lines = self._filter(lines)
 
     def __iter__(self) -> Iterator[str]:
         return self._lines
 
     def _filter(self, lines: Iterable[str]) -> Iterator[str]:
-        for self.lineno, line in enumerate(lines, 1):
-            if self.lineno == 1:
-                line = line.removeprefix("\ufeff")
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                yield line
+        lines = iter(lines)
+        first = next(lines, None)
+        if first is None:
+            return
+        for self.lineno, line in enumerate(chain([first.removeprefix("\ufeff")], lines), 1):
+            if self.record_start:
+                # only a line that starts blank or with '#' can be skipped
+                if not line or line[0] == "#" or line[0].isspace():
+                    stripped = line.strip()
+                    if not stripped or stripped.startswith("#"):
+                        continue
+                self.record_start = False
+            yield line
 
 
 def _parse_money(text: str, field: str) -> float:
@@ -278,7 +196,9 @@ def _record_from_row(
     row: Sequence[str],
     header_index: Mapping[str, int],
     schema: CsvSchema,
-) -> FirmRecord:
+) -> dict[str, object]:
+    """The checked field values of one row, or the ``ValueError`` or
+    :class:`ValidationError` that names why the row is skipped."""
     def cell(field: str) -> str | None:
         idx = header_index.get(field)
         if idx is None or idx >= len(row):
@@ -312,40 +232,146 @@ def _record_from_row(
         text = cell(field)
         values[field] = None if text is None else _parse_money(text, field)
 
-    return FirmRecord(**values)  # type: ignore[arg-type]
+    _check_fields(values)
+    return values
 
 
-def _row_converter(header_index: Mapping[str, int],
-                   schema: CsvSchema) -> Callable[[list[str]], FirmRecord]:
-    """Compile the row conversion for one file layout.
+def _numbers(cells: list[str], convert, fill: object, flagged: set[int]) -> list:
+    """``convert`` of each cell; a cell it rejects reads ``fill`` and flags its row."""
+    try:
+        return list(map(convert, cells))
+    except ValueError:
+        out = []
+        for i, text in enumerate(cells):
+            try:
+                out.append(convert(text))
+            except ValueError:
+                flagged.add(i)
+                out.append(fill)
+        return out
 
-    The converter returns the record :func:`_record_from_row` would build,
-    or raises ``ValueError``, ``IndexError`` or :class:`ValidationError`;
-    a row that raises goes through :func:`_record_from_row`, which owns the
-    skip reasons. Signs are left to :class:`FirmRecord`.
+
+class _BlockParser:
+    """Converts blocks of split rows of one file into column parts.
+
+    A block's cells are converted a column at a time and checked
+    column-wise. A row that fails any check is flagged and handed to
+    :func:`_record_from_row`, which either gives the row's values after all
+    (a short row, a cell padded with whitespace ``int`` does not take) or
+    the reason the row is skipped. Keys are claimed first-wins in row order.
     """
-    lo, hi = schema.year_range
-    # A missing optional column reads the empty cell the converter appends.
-    take = itemgetter(*(header_index.get(field, -1) for field in CANONICAL_COLUMNS))
 
-    def convert(row: list[str]) -> FirmRecord:
-        row.append("")  # also the first missing cell of a short row, read as empty
-        cells = take(row)
-        # int() and float() accept the whitespace strip() removes, or reject the row
-        firm_id, country, sector = cells[0].strip(), cells[2].strip(), cells[3].strip()
-        year = int(cells[1])
-        revenue = float(cells[5])
-        cogs = float(cells[6])
-        optional = cells[8:]
-        optional = (list(map(float, optional)) if all(optional)
-                    else [float(text) if text.strip() else None for text in optional])
-        if not (firm_id and country and sector and lo <= year <= hi
-                and isfinite(revenue + cogs + sum(filter(None, optional)))):
-            raise ValueError
-        return FirmRecord(firm_id, year, country, sector, cells[4].strip(), revenue, cogs,
-                          int(cells[7]), *optional)
+    def __init__(self, header_index: Mapping[str, int], schema: CsvSchema):
+        self.header_index = header_index
+        self.schema = schema
+        self.width = max(header_index.values()) + 1
+        self.seen: set[tuple[str, int]] = set()
+        self.parts: list[Columns] = []
 
-    return convert
+    def __call__(self, rows: list[list[str]]) -> list[tuple[int, str]]:
+        """Convert one block into a part; the (row index, reason) of each row left out."""
+        n = len(rows)
+        if min(map(len, rows)) < self.width:  # a short row reads empty cells
+            for row in rows:
+                row.extend([""] * (self.width - len(row)))
+        transposed = list(zip(*rows))  # as long as the shortest row, so at least width
+
+        def column(field: str) -> tuple[str, ...]:
+            return transposed[self.header_index[field]]
+
+        flagged: set[int] = set()
+
+        text = {}
+        for field in ("firm_id",) + KEY_FIELDS:
+            text[field] = list(map(str.strip, column(field)))
+            if not all(text[field]):
+                flagged.update(i for i, t in enumerate(text[field]) if not t)
+        classes = set(text["sector_class"]).difference(SECTOR_CLASSES)
+        if classes:
+            flagged.update(i for i, t in enumerate(text["sector_class"]) if t in classes)
+
+        lo, hi = self.schema.year_range
+        year = _numbers(column("year"), int, lo, flagged)
+        if not lo <= min(year) <= max(year) <= hi:
+            flagged.update(i for i, y in enumerate(year) if not lo <= y <= hi)
+        workers = _numbers(column("workers"), int, 0, flagged)
+        if not 0 <= min(workers) <= max(workers) <= _INT64_MAX:
+            flagged.update(i for i, w in enumerate(workers) if not 0 <= w <= _INT64_MAX)
+
+        money: dict[str, np.ndarray] = {}
+        present: dict[str, np.ndarray] = {}
+        for field in MONEY_FIELDS:
+            if field not in self.header_index:  # an optional column the file lacks
+                money[field] = np.zeros(n)
+                present[field] = np.zeros(n, dtype=bool)
+                continue
+            cells = column(field)
+            if field in OPTIONAL_FIELDS and not all(cells):
+                present[field] = np.array(list(map(bool, cells)), dtype=bool)
+                values = _numbers(cells, lambda t: float(t) if t else 0.0, 0.0, flagged)
+            else:
+                values = _numbers(cells, float, 0.0, flagged)
+                if field in OPTIONAL_FIELDS:
+                    present[field] = np.ones(n, dtype=bool)
+            array = money[field] = np.array(values, dtype=float)
+            valid = np.isfinite(array)
+            if field in _NONNEGATIVE_MONEY:
+                valid &= array >= 0
+            if field in OPTIONAL_FIELDS:
+                valid |= ~present[field]
+            if not valid.all():
+                flagged.update(np.flatnonzero(~valid).tolist())
+
+        issues: list[tuple[int, str]] = []
+        for i in sorted(flagged):
+            try:
+                values = _record_from_row(rows[i], self.header_index, self.schema)
+            except (ValueError, ValidationError) as exc:
+                issues.append((i, str(exc)))
+                continue
+            for field in ("firm_id",) + KEY_FIELDS:
+                text[field][i] = values[field]
+            year[i] = values["year"]
+            workers[i] = values["workers"]
+            for field in MONEY_FIELDS:
+                value = values[field]
+                money[field][i] = 0.0 if value is None else value
+                if field in OPTIONAL_FIELDS:
+                    present[field][i] = value is not None
+
+        kept = list(range(n))
+        if issues:
+            left_out = {i for i, _ in issues}
+            kept = [i for i in kept if i not in left_out]
+        firm_id = text["firm_id"]
+        keys = list(zip(firm_id, year)) if len(kept) == n else [(firm_id[i], year[i]) for i in kept]
+        distinct = set(keys)
+        if len(distinct) == len(keys) and self.seen.isdisjoint(distinct):
+            self.seen |= distinct
+        else:
+            unique = []
+            for i, key in zip(kept, keys):
+                if key in self.seen:
+                    issues.append((i, f"duplicate (firm_id, year) key ({key[0]}, {key[1]})"))
+                else:
+                    self.seen.add(key)
+                    unique.append(i)
+            kept = unique
+            issues.sort()
+
+        def select(values: list) -> list:
+            return values if len(kept) == n else [values[i] for i in kept]
+
+        pick = np.array(kept, dtype=np.intp)
+        self.parts.append(Columns.from_arrays(
+            select(firm_id),
+            np.array(select(year), dtype=np.int64),
+            np.array(select(workers), dtype=np.int64),
+            {field: array[pick] for field, array in money.items()},
+            {field: mask[pick] for field, mask in present.items()},
+            {field: select(text[field]) for field in KEY_FIELDS},
+        ))
+        return issues
 
 
 def parse_firm_records(
@@ -362,7 +388,7 @@ def parse_firm_records(
     :class:`RowError`. A missing mandatory column, or a mapped column that
     the header names twice, always raises :class:`SchemaError`. Row order
     is preserved; a repeated (firm_id, year) key within one file is a row
-    error.
+    error, and the first row with the key is kept.
     """
     schema = schema or CsvSchema()
     if isinstance(source, (str, Path)):
@@ -377,33 +403,46 @@ def parse_firm_records(
 
     line_filter = _LineFilter(lines)
     reader = csv.reader(line_filter, delimiter=schema.delimiter)
-
-    records: list[FirmRecord] = []
     skipped: list[RowIssue] = []
-    seen: set[tuple[str, int]] = set()
 
-    def bad_row(line: int, reason: str) -> None:
-        if strict:
-            raise RowError(line, reason)
-        skipped.append(RowIssue(line, reason))
+    def report(events: list[tuple[tuple[int, int], int, str]]) -> None:
+        """Report bad rows in input order; in strict mode the first one raises."""
+        for _, line, reason in sorted(events):
+            if strict:
+                raise RowError(line, reason)
+            skipped.append(RowIssue(line, reason))
 
-    def split_rows() -> Iterator[list[str]]:
-        """The rows csv can split; any other line is a bad row."""
+    def read(limit: int) -> tuple[list[list[str]], list[int], list, bool | DataError]:
+        """Up to ``limit`` split rows, their line numbers, the lines csv could
+        not split, and whether input is left: ``True``, ``False``, or the
+        error of a line that is not UTF-8, raised once the rows before it
+        are reported."""
+        rows: list[list[str]] = []
+        numbers: list[int] = []
+        errors: list[tuple[tuple[int, int], int, str]] = []
         while True:
             try:
-                yield from reader
-                return
+                for row in reader:
+                    line_filter.record_start = True
+                    rows.append(row)
+                    numbers.append(line_filter.lineno)
+                    if len(rows) == limit:
+                        return rows, numbers, errors, True
+                return rows, numbers, errors, False
             except csv.Error as exc:  # such as a cell over csv.field_size_limit()
-                bad_row(line_filter.lineno, str(exc))
+                line_filter.record_start = True
+                errors.append(((len(rows), 0), line_filter.lineno, str(exc)))
             except UnicodeDecodeError as exc:
-                raise DataError(f"input is not UTF-8 text: {exc}") from None
+                return rows, numbers, errors, DataError(f"input is not UTF-8 text: {exc}")
 
-    rows = split_rows()
-    header = next(rows, None)
-    if header is None:
+    header, _, errors, more = read(1)
+    report(errors)
+    if isinstance(more, DataError):
+        raise more
+    if not header:
         raise SchemaError("input has no header row")
 
-    names = [name.strip() for name in header]
+    names = [name.strip() for name in header[0]]
     positions = {name: idx for idx, name in enumerate(names)}
     header_index: dict[str, int] = {}
     for field in CANONICAL_COLUMNS:
@@ -415,37 +454,18 @@ def parse_firm_records(
         elif field in MANDATORY_FIELDS:
             raise SchemaError(f"missing mandatory column {column!r} (field {field})")
 
-    convert = _row_converter(header_index, schema)
-    for row in rows:
-        try:
-            record = convert(row)
-        except (ValueError, IndexError, ValidationError):
-            try:
-                record = _record_from_row(row, header_index, schema)
-            except (ValueError, ValidationError) as exc:
-                bad_row(line_filter.lineno, str(exc))
-                continue
-        key = (record.firm_id, record.year)
-        if key in seen:
-            bad_row(line_filter.lineno, f"duplicate (firm_id, year) key ({key[0]}, {key[1]})")
-            continue
-        seen.add(key)
-        records.append(record)
+    parse_block = _BlockParser(header_index, schema)
+    while more is True:
+        rows, numbers, errors, more = read(_BLOCK_ROWS)
+        if rows:
+            errors += [((i, 1), numbers[i], reason) for i, reason in parse_block(rows)]
+        report(errors)
+    if isinstance(more, DataError):
+        raise more
 
-    dataset = Dataset(
-        records=tuple(records),
-        currency_unit=schema.currency_unit,
-        provenance=(provenance,) if provenance else (),
-    )
+    columns = Columns.concat([(part, None) for part in parse_block.parts])
+    dataset = Dataset._of(columns, None, schema.currency_unit, (provenance,) if provenance else ())
     return ParseReport(dataset=dataset, skipped=tuple(skipped))
-
-
-def _format_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)  # shortest exact round-trip
-    return str(value)
 
 
 def write_firm_records(
@@ -468,15 +488,28 @@ def write_firm_records(
     # A line whose first cell starts with '#' is quoted, or the parser takes it for a comment.
     quoted = csv.writer(dest, delimiter=schema.delimiter, lineterminator="\n",
                         quoting=csv.QUOTE_ALL)
-
-    def writerow(cells: list[str]) -> None:
-        (quoted if cells[0].lstrip().startswith("#") else plain).writerow(cells)
-
-    writerow([schema.columns[field] for field in CANONICAL_COLUMNS])
-    field_names = [f.name for f in dataclass_fields(FirmRecord)]
-    assert tuple(field_names) == CANONICAL_COLUMNS
-    for record in dataset.records:
-        writerow([_format_cell(getattr(record, field)) for field in CANONICAL_COLUMNS])
+    plain.writerow([schema.columns[field] for field in CANONICAL_COLUMNS])
+    columns, rows = dataset.columns, dataset.rows
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        cells = []
+        for field in CANONICAL_COLUMNS:
+            values = columns.column(field, block).tolist()
+            if field in MONEY_FIELDS:
+                values = list(map(repr, values))  # shortest exact round-trip
+                for i in np.flatnonzero(~columns.present_mask(field, block)).tolist():
+                    values[i] = ""
+            elif field in ("year", "workers"):
+                values = list(map(str, values))
+            cells.append(values)
+        lines = list(zip(*cells))
+        done = 0
+        for i, firm_id in enumerate(cells[0]):
+            if firm_id.lstrip().startswith("#"):
+                plain.writerows(lines[done:i])
+                quoted.writerow(lines[i])
+                done = i + 1
+        plain.writerows(lines[done:])
 
 
 def merge_datasets(
@@ -493,25 +526,21 @@ def merge_datasets(
         raise UnitMismatchError(
             f"currency units differ: {a.currency_unit!r} vs {b.currency_unit!r}"
         )
-    b_by_key = {record.key: record for record in b.records}
-    duplicates = [record.key for record in a.records if record.key in b_by_key]
+    a_keys = a.columns.keys(a.rows)
+    b_position = {key: i for i, key in enumerate(b.columns.keys(b.rows))}
+    duplicates = [key for key in a_keys if key in b_position]
     if duplicates and policy is MergePolicy.REJECT_CONFLICT:
         raise MergeConflictError(duplicates)
 
-    merged: list[FirmRecord] = []
-    for record in a.records:
-        if policy is MergePolicy.PREFER_B and record.key in b_by_key:
-            merged.append(b_by_key[record.key])
-        else:
-            merged.append(record)
-    a_keys = {record.key for record in a.records}
-    merged.extend(record for record in b.records if record.key not in a_keys)
-
-    return Dataset(
-        records=tuple(merged),
-        currency_unit=a.currency_unit,
-        provenance=a.provenance + b.provenance,
-    )
+    # Rows of the concatenation a + b, in merged order.
+    offset = len(a)
+    order = [offset + b_position[key] if policy is MergePolicy.PREFER_B and key in b_position
+             else i for i, key in enumerate(a_keys)]
+    taken = set(a_keys)
+    order += [offset + j for j, key in enumerate(b_position) if key not in taken]
+    columns = Columns.concat([(a.columns, a.rows), (b.columns, b.rows)])
+    return Dataset._of(columns, np.array(order, dtype=np.intp), a.currency_unit,
+                       a.provenance + b.provenance)
 
 
 def filter_dataset(
@@ -527,29 +556,25 @@ def filter_dataset(
 
     ``min_workers`` is inclusive (workers >= threshold). ``require_positive``
     drops records where any named field is absent or <= 0. An empty result
-    is valid.
+    is valid. The result selects rows of ``d``'s columns: nothing is copied
+    or re-checked, and its records are ``d``'s record objects.
     """
     for field in require_positive:
         if field not in CANONICAL_COLUMNS:
             raise ValueError(f"unknown field in require_positive: {field!r}")
+        if field not in MONEY_FIELDS + ("year", "workers"):
+            raise ValueError(f"require_positive needs a numeric field, got {field!r}")
 
-    def keep(record: FirmRecord) -> bool:
-        if year is not None and record.year != year:
-            return False
-        if country is not None and record.country != country:
-            return False
-        if sector_class is not None and record.sector_class != sector_class:
-            return False
-        if min_workers is not None and record.workers < min_workers:
-            return False
-        for field in require_positive:
-            value = getattr(record, field)
-            if value is None or value <= 0:
-                return False
-        return True
-
-    return Dataset(
-        records=tuple(r for r in d.records if keep(r)),
-        currency_unit=d.currency_unit,
-        provenance=d.provenance,
-    )
+    columns, rows = d.columns, d.rows
+    keep = np.ones(len(rows), dtype=bool)
+    if year is not None:
+        keep &= columns.column("year", rows) == year
+    for name, wanted in (("country", country), ("sector_class", sector_class)):
+        if wanted is not None:
+            keep &= columns.column(name, rows) == wanted
+    if min_workers is not None:
+        keep &= columns.column("workers", rows) >= min_workers
+    for field in require_positive:
+        # not <= 0 rather than > 0: a NaN passes, as it does per record
+        keep &= columns.present_mask(field, rows) & ~(columns.column(field, rows) <= 0)
+    return Dataset._of(columns, rows[keep], d.currency_unit, d.provenance)

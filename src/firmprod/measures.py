@@ -14,26 +14,26 @@ whose sums run left to right in record order, so results are bit-stable.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import isfinite
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     ConfigError,
-    DataError,
     DegenerateShareError,
     IncompleteRecordError,
     MacroContextError,
     ValidationError,
     ZeroWorkersError,
 )
-from .ingest import Dataset, FirmRecord, read_json_config
+from .ingest import filter_dataset, read_json_config
+from .records import Columns, Dataset, FirmRecord
 
 
 class ValueBasis(Enum):
@@ -207,12 +207,22 @@ def _check_thresholds(thresholds: Sequence[int]) -> None:
         raise ValueError(f"thresholds must be strictly ascending, got {list(thresholds)}")
 
 
+#: A grouping key: one field name, or a tuple of them.
+GroupKey = str | tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class Evaluation:
-    """The records a value basis could evaluate, in input order, beside their
-    raw values and worker counts; ``excluded`` counts the records left out."""
+    """The records a value basis could evaluate, in input order.
 
-    records: tuple[FirmRecord, ...]
+    ``rows`` indexes the evaluated records in ``columns``; ``values`` and
+    ``workers`` hold their raw values and worker counts, and ``excluded``
+    counts the records left out. ``records`` builds the record views on
+    first use.
+    """
+
+    columns: Columns
+    rows: np.ndarray
     values: np.ndarray
     workers: np.ndarray
     excluded: int = 0
@@ -220,6 +230,17 @@ class Evaluation:
     @cached_property
     def productivity(self) -> np.ndarray:
         return self.values / self.workers
+
+    @cached_property
+    def records(self) -> tuple[FirmRecord, ...]:
+        return self.columns.records(self.rows)
+
+    def column(self, name: str) -> np.ndarray:
+        """One field of the evaluated records (see :meth:`Columns.column`)."""
+        return self.columns.column(name, self.rows)
+
+    def _part(self, index: np.ndarray) -> Evaluation:
+        return Evaluation(self.columns, self.rows[index], self.values[index], self.workers[index])
 
     def pool(self, mode: str = "pooled", where: np.ndarray | None = None) -> SectorAggregate:
         """Aggregate a non-empty selection (a mask or index; all records by default).
@@ -239,16 +260,16 @@ class Evaluation:
             productivity = float(np.cumsum(self.productivity[pick])[-1]) / len(values)
         return SectorAggregate(total_value, total_workers, productivity, len(values))
 
-    def split(self, key: Callable[[FirmRecord], Hashable]) -> dict:
-        """Parts by ``key(record)``, in order of their first record."""
-        groups: dict = {}
-        for i, record in enumerate(self.records):
-            groups.setdefault(key(record), []).append(i)
-        return {k: Evaluation(tuple(self.records[i] for i in index), self.values[index],
-                              self.workers[index]) for k, index in groups.items()}
+    def split(self, key: GroupKey) -> dict:
+        """Parts by the value of one field (``"year"``) or a tuple of fields
+        (``("country", "year")``), in order of their first record; a part
+        keeps its records in input order."""
+        names = (key,) if isinstance(key, str) else tuple(key)
+        return {(k[0] if isinstance(key, str) else k): self._part(index)
+                for k, index in self.columns.groups(names, self.rows)}
 
-    def pool_by(self, key: Callable[[FirmRecord], Hashable], mode: str = "pooled") -> dict:
-        """One aggregate per ``key(record)``, in order of their first record."""
+    def pool_by(self, key: GroupKey, mode: str = "pooled") -> dict:
+        """One aggregate per value of ``key`` (as in :meth:`split`), in order of their first record."""
         return {k: part.pool(mode) for k, part in self.split(key).items()}
 
     def sweep(self, thresholds: Sequence[int], mode: str = "pooled") -> dict[int, float | None]:
@@ -261,38 +282,76 @@ class Evaluation:
         return out
 
 
+def _selection(records: Iterable[FirmRecord] | Dataset | Evaluation) -> tuple[Columns, np.ndarray]:
+    if isinstance(records, (Dataset, Evaluation)):
+        return records.columns, records.rows
+    columns = Columns.from_records(tuple(records))
+    return columns, np.arange(len(columns))
+
+
+def _raise_record_error(columns: Columns, row: int, basis: ValueBasis,
+                        ctx: MacroContext | None) -> None:
+    """Raise the error that leaves the record at ``row`` out under ``basis``."""
+    (firm_id, year), = columns.keys(np.array([row]))
+    if columns.workers[row] == 0:
+        raise ZeroWorkersError(
+            f"record ({firm_id}, {year}) has zero workers; "
+            "filter with require_positive=('workers',) first"
+        )
+    if basis is ValueBasis.ADDED_VALUE_COMPONENTS:
+        missing = [name for name in COMPONENT_FIELDS if not columns.present[name][row]]
+        raise IncompleteRecordError(
+            f"record ({firm_id}, {year}) lacks components: {', '.join(missing)}"
+        )
+    if ctx is None:
+        raise MacroContextError("labor-share added value requires a MacroContext")
+    ctx.entry(columns.names[columns.codes["country"][row]], year)  # raises: no entry
+
+
 def evaluate(
-    records: Iterable[FirmRecord],
+    records: Iterable[FirmRecord] | Dataset | Evaluation,
     basis: ValueBasis = ValueBasis.GROSS_MARGIN,
     ctx: MacroContext | None = None,
     *,
     strict: bool = False,
 ) -> Evaluation:
-    """Evaluate each record (a :class:`Dataset` is iterable) under ``basis`` once.
+    """Evaluate each record under ``basis`` once.
 
-    A record with zero workers, or one the basis cannot evaluate, is left
-    out and counted; with ``strict`` the first such record raises instead.
+    ``records`` is a :class:`Dataset`, an :class:`Evaluation` (its records)
+    or any iterable of :class:`FirmRecord`. A record with zero workers, or
+    one the basis cannot evaluate, is left out and counted; with ``strict``
+    the first such record raises instead. Values are computed column-wise
+    with the same IEEE operations, in the same order, as
+    :func:`gross_margin` and :func:`added_value` on one record.
     """
-    kept: list[FirmRecord] = []
-    values: list[float] = []
-    excluded = 0
-    for record in records:
-        try:
-            if record.workers == 0:
-                raise ZeroWorkersError(
-                    f"record ({record.firm_id}, {record.year}) has zero workers; "
-                    "filter with require_positive=('workers',) first"
-                )
-            values.append(gross_margin(record) if basis is ValueBasis.GROSS_MARGIN
-                          else added_value(record, basis, ctx))
-        except DataError:
-            if strict:
-                raise
-            excluded += 1
-            continue
-        kept.append(record)
-    workers = np.array([r.workers for r in kept], dtype=np.int64)
-    return Evaluation(tuple(kept), np.array(values, dtype=float), workers, excluded)
+    columns, rows = _selection(records)
+    workers = columns.workers[rows]
+    revenue = columns.money["revenue"][rows]
+    fails = workers == 0
+    with np.errstate(all="ignore"):  # inf and nan pass through as Python floats do
+        if basis is ValueBasis.GROSS_MARGIN:
+            values = revenue - columns.money["cogs"][rows]
+        elif basis is ValueBasis.ADDED_VALUE_LABOR_SHARE:
+            denominators = np.full(len(rows), np.nan)
+            if ctx is not None:
+                for (country, year), index in columns.groups(("country", "year"), rows):
+                    with suppress(MacroContextError):
+                        denominators[index] = 1.0 - ctx.labor_share(country, year)
+            fails |= np.isnan(denominators)
+            values = (revenue - columns.money["cogs"][rows]) / denominators
+        elif basis is ValueBasis.ADDED_VALUE_COMPONENTS:
+            values = np.zeros(len(rows))
+            for name in COMPONENT_FIELDS:
+                values = values + columns.money[name][rows]
+                fails |= ~columns.present[name][rows]
+        else:
+            raise ValueError(f"not a value basis: {basis}")
+    if fails.any():
+        if strict:
+            _raise_record_error(columns, int(rows[np.argmax(fails)]), basis, ctx)
+        keep = ~fails
+        return Evaluation(columns, rows[keep], values[keep], workers[keep], int(fails.sum()))
+    return Evaluation(columns, rows, values, workers)
 
 
 def aggregate_by_sector(
@@ -309,7 +368,7 @@ def aggregate_by_sector(
     basis cannot evaluate, raises.
     """
     _check_mode(mode)
-    return evaluate(d, basis, ctx, strict=True).pool_by(attrgetter("sector"), mode)
+    return evaluate(d, basis, ctx, strict=True).pool_by("sector", mode)
 
 
 def gdp_coverage(
@@ -324,21 +383,18 @@ def gdp_coverage(
     Not clamped: a value above 1 is reported as is. An empty selection
     yields 0 without requiring a GDP entry.
     """
-    records = [r for r in d.records if r.year == year]
-    if country is not None:
-        records = [r for r in records if r.country == country]
-    if not records:
+    covered = filter_dataset(d, year=year, country=country)
+    if not len(covered):
         return 0.0
-    countries = {r.country for r in records}
+    countries = covered.countries()
     if len(countries) > 1:
         raise ValueError(
-            f"records for year {year} span countries {sorted(countries)}; pass country="
+            f"records for year {year} span countries {list(countries)}; pass country="
         )
-    (resolved,) = countries
     total = 0.0
-    for record in records:
+    for record in covered:  # zero-worker firms count: coverage is no per-worker measure
         total += added_value(record, basis, ctx)
-    return total / ctx.gdp(resolved, year)
+    return total / ctx.gdp(countries[0], year)
 
 
 def backout_nonmanufacturing_ratio(
@@ -375,5 +431,7 @@ def size_sweep(
     """
     _check_mode(mode)
     _check_thresholds(thresholds)
-    admitted = (r for r in d.records if thresholds and r.workers >= max(thresholds[0], 1))
+    if not thresholds:
+        return {}
+    admitted = filter_dataset(d, min_workers=max(thresholds[0], 1))
     return evaluate(admitted, basis, ctx, strict=True).sweep(thresholds, mode)

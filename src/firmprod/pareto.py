@@ -13,7 +13,6 @@ import math
 import re
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -27,7 +26,8 @@ from .errors import (
     ValidationError,
     ZeroVarianceError,
 )
-from .ingest import Dataset
+from .ingest import filter_dataset
+from .records import Dataset
 from .measures import Evaluation, MacroContext, ValueBasis, evaluate
 
 #: Default tail selection for firm-level fits: top 10% of points, at least 10.
@@ -258,7 +258,7 @@ def level_values(ev: Evaluation, level: str = "firm") -> np.ndarray | list[float
     _check_level(level)
     if level == "firm":
         return ev.productivity
-    return [agg.productivity for agg in ev.pool_by(attrgetter("sector")).values()]
+    return [agg.productivity for agg in ev.pool_by("sector").values()]
 
 
 def productivity_values(
@@ -269,7 +269,7 @@ def productivity_values(
 ) -> list[float]:
     """Per-firm or per-sector productivity values, in dataset order."""
     _check_level(level)
-    records = (r for r in d.records if r.workers > 0) if level == "firm" else d.records
+    records = filter_dataset(d, min_workers=1) if level == "firm" else d
     return list(level_values(evaluate(records, basis, ctx, strict=True), level))
 
 

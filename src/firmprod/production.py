@@ -10,7 +10,6 @@ bias the elasticities.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +23,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .ingest import Dataset, FirmRecord
+from .records import Dataset
 from .measures import Evaluation, MacroContext, ValueBasis, evaluate
 
 #: Above this design-matrix condition number the normal equations are
@@ -108,7 +107,7 @@ def log_design(
 
 def _usable_design(ev: Evaluation, size: int) -> LogDesign:
     """Log design of the records in ``ev`` with positive capital and value, out of ``size``."""
-    capital = np.array([r.capital or 0.0 for r in ev.records], dtype=float)
+    capital = ev.column("capital")  # an absent capital reads 0.0, so it is not usable
     usable = (capital > 0) & (ev.values > 0)
     n = int(usable.sum())
     excluded = size - n
@@ -229,11 +228,13 @@ def fit_by_stratum(
     Returns successful fits and, separately, the strata that could not be
     fitted with the reason.
     """
-    def stratum(record: FirmRecord) -> StratumKey:
-        return (record.country, record.sector_class, None if pool_years else record.year)
+    fields = ("country", "sector_class") if pool_years else ("country", "sector_class", "year")
 
-    sizes = Counter(map(stratum, d))
-    parts = evaluate(d, value_basis, ctx).split(stratum)
+    def stratum(key: tuple) -> StratumKey:
+        return (*key, None) if pool_years else key
+
+    sizes = {stratum(key): len(index) for key, index in d.columns.groups(fields, d.rows)}
+    parts = {stratum(key): part for key, part in evaluate(d, value_basis, ctx).split(fields).items()}
     fits: dict[StratumKey, ProductionFit] = {}
     failures: dict[StratumKey, str] = {}
     for key in sorted(sizes, key=lambda k: (k[0], k[1], k[2] if k[2] is not None else -1)):

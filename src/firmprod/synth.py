@@ -16,7 +16,7 @@ depending on the CPU features it dispatches to (AVX-512 or not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isfinite
 from numbers import Real
 from pathlib import Path
@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .ingest import SECTOR_CLASSES, Dataset, FirmRecord, read_json_config
+from .ingest import read_json_config
+from .records import OPTIONAL_FIELDS, SECTOR_CLASSES, Columns, Dataset
 
 
 def _check_reals(obj: object, *names: str) -> None:
@@ -198,26 +199,37 @@ def _draw_all_workers(dist: SizeDist, u_size: np.ndarray, u_aux: np.ndarray) -> 
     return sizes.astype(int)
 
 
-def _money_fields(value: float, labor_share: float) -> dict[str, float]:
-    """Financial fields whose measures reproduce ``value`` exactly.
+def _firms(spec: SynthSpec, workers: np.ndarray, capital: np.ndarray, values: np.ndarray,
+           provenance: str) -> Dataset:
+    """The dataset of firms with these draws and values; all money fields present.
 
-    Gross margin equals ``value`` (revenue = 2v, cogs = v), labor cost makes
+    Gross margin equals the value (revenue = 2v, cogs = v), labor cost makes
     the realized labor share equal the configured one, and the accounting
     components sum to the same added value as the labor-share form.
     """
-    revenue = 2.0 * value
-    labor_cost = value * labor_share / (1.0 - labor_share)
-    if not (isfinite(revenue) and isfinite(labor_cost)):
+    revenue = 2.0 * values
+    labor_cost = values * spec.labor_share / (1.0 - spec.labor_share)
+    overflow = ~(np.isfinite(revenue) & np.isfinite(labor_cost))
+    if overflow.any():
+        value = float(values[np.argmax(overflow)])
         raise ValidationError(f"generated value {value!r} overflows a money cell")
-    return {
-        "revenue": revenue,
-        "cogs": value,
-        "total_labor_cost": labor_cost,
-        "ordinary_income": value,
-        "financial_expense": 0.0,
-        "tax_public_charge": 0.0,
-        "depreciation": 0.0,
-    }
+    n = spec.n
+    zero = np.zeros(n)
+    money = {"revenue": revenue, "cogs": values, "total_labor_cost": labor_cost,
+             "capital": capital, "ordinary_income": values, "financial_expense": zero,
+             "tax_public_charge": zero, "depreciation": zero}
+    sectors = [f"S{k:02d}" for k in range(min(spec.n_sectors, n))]
+    columns = Columns.from_arrays(
+        firm_id=[f"F{i:06d}" for i in range(n)],
+        year=np.full(n, spec.year, dtype=np.int64),
+        workers=workers.astype(np.int64),
+        money=money,
+        present={name: np.ones(n, dtype=bool) for name in OPTIONAL_FIELDS},
+        texts={"country": [spec.country] * n,
+               "sector": [sectors[k] for k in (np.arange(n) % spec.n_sectors).tolist()],
+               "sector_class": [spec.sector_class] * n},
+    )
+    return Dataset._of(columns, None, spec.currency_unit, (provenance,))
 
 
 def gen_cobb_douglas_firms(spec: SynthSpec) -> Dataset:
@@ -228,45 +240,28 @@ def gen_cobb_douglas_firms(spec: SynthSpec) -> Dataset:
     log10(value) = log_a + alpha*log10(capital) + beta*log10(workers) + eps
     with eps ~ Normal(0, noise_sigma). The worker and capital draws do not
     depend on ``noise_sigma``, so noisy and noiseless populations share the
-    same firms.
+    same firms. A draw that overflows is caught by the finite checks and
+    raises :class:`ValidationError`; numpy's overflow warnings stay silent.
     """
     rng = np.random.default_rng(spec.seed)
     draws = rng.random((spec.n, 4))
-    workers = _draw_all_workers(spec.size_dist, draws[:, 0], draws[:, 1])
-    z_capital, z_noise = _box_muller(draws[:, 2], draws[:, 3])
+    with np.errstate(all="ignore"):
+        workers = _draw_all_workers(spec.size_dist, draws[:, 0], draws[:, 1])
+        z_capital, z_noise = _box_muller(draws[:, 2], draws[:, 3])
 
-    rule = spec.capital_rule
-    capital = rule.coeff * workers.astype(float) ** rule.exponent
-    capital = capital * 10.0 ** (rule.sigma * z_capital)
-    if not np.isfinite(capital).all():
-        raise ValidationError("generated capital overflows: check capital_rule and size_dist")
-    log_values = (
-        spec.log_a
-        + spec.alpha * np.log10(capital)
-        + spec.beta * np.log10(workers.astype(float))
-        + spec.noise_sigma * z_noise
-    )
-    values = 10.0 ** log_values
-
-    records = []
-    for i in range(spec.n):
-        records.append(
-            FirmRecord(
-                firm_id=f"F{i:06d}",
-                year=spec.year,
-                country=spec.country,
-                sector=f"S{i % spec.n_sectors:02d}",
-                sector_class=spec.sector_class,
-                workers=int(workers[i]),
-                capital=float(capital[i]),
-                **_money_fields(float(values[i]), spec.labor_share),
-            )
+        rule = spec.capital_rule
+        capital = rule.coeff * workers.astype(float) ** rule.exponent
+        capital = capital * 10.0 ** (rule.sigma * z_capital)
+        if not np.isfinite(capital).all():
+            raise ValidationError("generated capital overflows: check capital_rule and size_dist")
+        log_values = (
+            spec.log_a
+            + spec.alpha * np.log10(capital)
+            + spec.beta * np.log10(workers.astype(float))
+            + spec.noise_sigma * z_noise
         )
-    return Dataset(
-        records=tuple(records),
-        currency_unit=spec.currency_unit,
-        provenance=(f"synth(seed={spec.seed})",),
-    )
+        values = 10.0 ** log_values
+        return _firms(spec, workers, capital, values, f"synth(seed={spec.seed})")
 
 
 def gen_size_graded_economy(base: SynthSpec, gradient: float) -> Dataset:
@@ -277,14 +272,11 @@ def gen_size_graded_economy(base: SynthSpec, gradient: float) -> Dataset:
     this generator targets size-dependence analyses, not fitting.
     """
     dataset = gen_cobb_douglas_firms(base)
-    median_workers = float(np.median([r.workers for r in dataset.records]))
-    graded = []
-    for record in dataset.records:
-        factor = (record.workers / median_workers) ** gradient
-        value = (record.revenue - record.cogs) * factor
-        graded.append(replace(record, **_money_fields(value, base.labor_share)))
-    return Dataset(
-        records=tuple(graded),
-        currency_unit=dataset.currency_unit,
-        provenance=(f"synth(seed={base.seed}, gradient={gradient})",),
-    )
+    workers = dataset.column("workers")
+    median_workers = float(np.median(workers))
+    # Python's ** per firm, as the values were first defined
+    factors = np.array([(w / median_workers) ** gradient for w in workers.tolist()])
+    with np.errstate(all="ignore"):  # an overflow is caught by the finite checks
+        values = (dataset.column("revenue") - dataset.column("cogs")) * factors
+        return _firms(base, workers, dataset.column("capital"), values,
+                      f"synth(seed={base.seed}, gradient={gradient})")

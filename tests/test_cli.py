@@ -486,3 +486,69 @@ def test_emitted_files_carry_metadata_header(runner):
         assert head[0].startswith("# firmprod ")
         assert head[1].startswith("# config: ")
         assert head[2].startswith("# rows: ")
+
+
+@pytest.mark.parametrize("command", ["ingest", "measures"])
+def test_a_schema_reading_one_column_for_two_fields_is_a_config_error(command, tmp_path):
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": {"revenue": "X", "cogs": "X"}}))
+    (tmp_path / "firms.csv").write_text(
+        "firm_id,year,country,sector,sector_class,X,workers\nF1,2003,JP,s,manufacturing,100,10\n")
+    result = run_process(tmp_path, command, "--input", "firms.csv", "--schema", "schema.json",
+                         "--out", "out")
+    assert result.returncode == 2
+    assert result.stderr == ("error (config): column 'X' is mapped to more than one field: "
+                             "revenue, cogs\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ({"n": 5, "log_a": 1e308}, "generated value inf overflows a money cell"),
+    ({"n": 5, "size_dist": {"kind": "pareto", "mu": 0.001, "xmin": 1}},
+     "a drawn worker count exceeds the integer range"),
+], ids=["huge-log-a", "tiny-pareto-mu"])
+def test_an_overflowing_synth_spec_prints_only_its_error_line(spec, reason, tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    result = run_process(tmp_path, "synth", "--spec", "spec.json", "--out", "out")
+    assert result.returncode == 2
+    assert result.stderr == f"error (config): spec.json: bad synth spec: {reason}\n"
+
+
+def test_no_command_builds_a_record_object(runner, monkeypatch):
+    """Commands read columns: neither a FirmRecord nor a record view is built."""
+    calls = []
+    init = FirmRecord.__init__
+    views = firmprod.records.Columns.records
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("FirmRecord.__init__")
+        init(self, *args, **kwargs)
+
+    def counted_views(self, *args, **kwargs):
+        calls.append("Columns.records")
+        return views(self, *args, **kwargs)
+
+    with runner.isolated_filesystem():
+        setup_data(runner)
+        with open("data/firms.csv", "a") as fh:  # bad rows take the row-wise path
+            fh.write("B1,2003,JP,S00,manufacturing,abc,1,1,,,,,,\n"
+                     "B2,2003,JP,S00,manufacturing,5,1,1,-1,,,,,\n"
+                     "B3,2003,JP,S00,manufacturing,5,1,  7 ,,,,,,\n"
+                     "F000001,2003,JP,S00,manufacturing,5,1,1,,,,,,\n")
+        monkeypatch.setattr(FirmRecord, "__init__", counted_init)
+        monkeypatch.setattr(firmprod.records.Columns, "records", counted_views)
+        data = ["--input", "data/firms.csv"]
+        for args in (
+            ["synth", "--spec", "spec.json"],
+            ["ingest", *data],
+            *(["measures", *data, "--basis", basis, "--macro", "macro.json", "--year", "2003"]
+              for basis in ("gm", "av-share", "av-components")),
+            ["fit-production", *data],
+            ["fit-production", *data, "--pool-years", "--basis", "av-components"],
+            ["fit-pareto", *data],
+            ["fit-pareto", *data, "--level", "sector", "--year", "2003"],
+            ["pareto-series", *data, "--level", "sector"],
+            ["prod-series", *data, "--mode", "mean"],
+            ["size-sweep", *data, "--thresholds", "0,10,100"],
+        ):
+            run_ok(runner, [*args, "--out", "out"])
+    assert calls == []

@@ -3,11 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firmprod.ingest
 from firmprod import (
     CsvSchema,
     Dataset,
@@ -29,7 +31,14 @@ from firmprod.errors import (
     UnitMismatchError,
     ValidationError,
 )
-from firmprod.ingest import CANONICAL_COLUMNS, MANDATORY_FIELDS, OPTIONAL_FIELDS, SECTOR_CLASSES
+from firmprod.ingest import (
+    CANONICAL_COLUMNS,
+    MANDATORY_FIELDS,
+    OPTIONAL_FIELDS,
+    SECTOR_CLASSES,
+    _LineFilter,
+    _record_from_row,
+)
 
 HEADER = (
     "firm_id,year,country,sector,sector_class,revenue,cogs,workers,"
@@ -743,3 +752,145 @@ def test_parser_matches_the_reference_row_loop(row_file, strict):
     assert row_error is None
     assert [_fields(r) for r in report.dataset.records] == [_fields(r) for r in records]
     assert [(issue.line, issue.reason) for issue in report.skipped] == skipped
+
+
+# ---------------------------------------------------------------------------
+# the block-wise parser against a row-by-row loop over _record_from_row
+# ---------------------------------------------------------------------------
+
+
+def _row_by_row(text, schema, strict):
+    """(field tuples, skipped (line, reason) pairs, strict (line, reason) or None):
+    each row through ``_record_from_row`` alone, keys claimed first-wins."""
+    line_filter = _LineFilter(io.StringIO(text))
+    reader = csv.reader(line_filter, delimiter=schema.delimiter)
+    header = next(reader)
+    line_filter.record_start = True
+    positions = {name.strip(): idx for idx, name in enumerate(header)}
+    header_index = {field: positions[schema.columns[field]] for field in CANONICAL_COLUMNS
+                    if schema.columns[field] in positions}
+    records, skipped, seen = [], [], set()
+    for row in reader:
+        line_filter.record_start = True
+        line = line_filter.lineno
+        try:
+            values = _record_from_row(row, header_index, schema)
+        except (ValueError, ValidationError) as exc:
+            issue = (line, str(exc))
+        else:
+            key = (values["firm_id"], values["year"])
+            if key not in seen:
+                seen.add(key)
+                records.append(tuple(repr(values[field]) for field in CANONICAL_COLUMNS))
+                continue
+            issue = (line, f"duplicate (firm_id, year) key ({key[0]}, {key[1]})")
+        if strict:
+            return records, [], issue
+        skipped.append(issue)
+    return records, skipped, None
+
+
+def _quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def _hostile_files(draw):
+    """(text, schema) with the rows of ``_row_files`` plus quoted cells holding
+    newlines, comment-like and blank lines, escaped quotes and delimiters, and
+    sometimes a byte-order mark."""
+    text, schema = draw(_row_files())
+    header, *lines = text.splitlines()
+    out = [header]
+    d = schema.delimiter
+    for line in lines:
+        kind = draw(st.integers(0, 5))
+        if kind == 0 and line and not line.lstrip().startswith("#"):
+            cells = line.split(d)
+            cells[0] = _quoted(draw(st.sampled_from(
+                ["F\n#x", "F\n\nG", 'a"b', f"x{d}y", "#7", "F1\n  # not a comment", "F2\n"])))
+            out.append(d.join(cells))
+        else:
+            out.append(line)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "\n".join(out) + "\n", schema
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hostile_files(), st.booleans(), st.integers(1, 4))
+def test_block_parser_matches_the_row_by_row_loop(hostile_file, strict, block_rows):
+    text, schema = hostile_file
+    records, skipped, row_error = _row_by_row(text.removeprefix("\ufeff"), schema, strict)
+    with mock.patch("firmprod.ingest._BLOCK_ROWS", block_rows):  # most inputs span blocks
+        try:
+            report = parse_firm_records(io.StringIO(text), schema, strict=strict)
+        except RowError as exc:
+            assert (exc.line, exc.reason) == row_error
+            return
+    assert row_error is None
+    assert [_fields(r) for r in report.dataset.records] == records
+    assert [(issue.line, issue.reason) for issue in report.skipped] == skipped
+
+
+def test_bad_rows_in_a_later_block_cost_only_their_own_rows():
+    block = firmprod.ingest._BLOCK_ROWS
+    good = [f"F{i},2003,JP,s,manufacturing,{i + 1},1,{i % 50}" for i in range(2 * block + 300)]
+    lines = list(good)
+    lines[block + 7] = f"F{block + 7},2003,JP,s,manufacturing,abc,1,3"  # second block
+    lines[block + 8] = "F0,2003,JP,s,manufacturing,9,1,3"  # a key from the first block
+    lines[2 * block + 5] = f"F{2 * block + 5},2003,JP,s,services,9,1,3"  # third block
+    # a quoted newline: one row on two lines, so later line numbers shift by one
+    lines[2 * block + 6] = f'F{2 * block + 6},2003,JP,s,manufacturing,9,1,"3\n"'
+    lines[2 * block + 7] = f"F{2 * block + 7},2003,JP,s,manufacturing,9,1,-3"
+    text = "firm_id,year,country,sector,sector_class,revenue,cogs,workers\n" + "\n".join(lines) + "\n"
+    report = parse(text)
+    records, skipped, _ = _row_by_row(text, CsvSchema(), strict=False)
+    assert [_fields(r) for r in report.dataset.records] == records
+    assert [(issue.line, issue.reason) for issue in report.skipped] == skipped == [
+        (block + 9, "revenue: cannot parse 'abc' as a number"),
+        (block + 10, "duplicate (firm_id, year) key (F0, 2003)"),
+        (2 * block + 7, "sector_class must be one of ('manufacturing', 'non_manufacturing'), "
+                        "got 'services'"),
+        (2 * block + 10, "workers must be >= 0, got -3"),
+    ]
+    assert len(report.dataset) == len(good) - 4
+    with pytest.raises(RowError) as excinfo:
+        parse(text, strict=True)
+    assert (excinfo.value.line, excinfo.value.reason) == skipped[0]
+
+
+def test_a_comment_line_inside_a_quoted_cell_is_data():
+    text = ("firm_id,year,country,sector,sector_class,revenue,cogs,workers\n"
+            '"F\n#x",2003,JP,s,manufacturing,100,40,10\n'
+            "F2,2003,JP,s,manufacturing,abc,40,10\n")
+    report = parse(text)
+    assert [r.firm_id for r in report.dataset.records] == ["F\n#x"]
+    assert [(issue.line, issue.reason) for issue in report.skipped] == [
+        (4, "revenue: cannot parse 'abc' as a number")]
+
+
+def test_two_fields_can_not_read_one_column():
+    with pytest.raises(SchemaError, match="'X' is mapped to more than one field: revenue, cogs"):
+        CsvSchema(columns={"revenue": "X", "cogs": "X"})
+    with pytest.raises(SchemaError, match="'cogs' is mapped to more than one field"):
+        CsvSchema(columns={"revenue": "cogs"})  # cogs keeps its canonical column
+    assert CsvSchema(columns={"revenue": "cogs", "cogs": "Costs"}).columns["cogs"] == "Costs"
+
+
+def test_records_of_a_parsed_dataset_are_views_shared_with_its_filters():
+    text = HEADER + "\n" + "".join(
+        f"F{i},2003,JP,s,manufacturing,{100 + i},40,{i},,{i},,,,\n" for i in range(6))
+    dataset = parse(text).dataset
+    kept = filter_dataset(dataset, min_workers=2, require_positive=("capital",))
+    assert [r.firm_id for r in kept.records] == ["F2", "F3", "F4", "F5"]
+    assert kept.records[0] is dataset.records[2]
+    assert dataset.records is dataset.records
+    assert [r.capital for r in dataset.records] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert dataset.records[0].total_labor_cost is None
+
+
+def test_workers_beyond_64_bits_are_a_row_error():
+    report = parse(HEADER + "\nF1,2003,JP,s,manufacturing,1,1,100000000000000000000,,,,,,\n")
+    assert len(report.dataset) == 0
+    assert report.skipped[0].reason == (
+        "workers must be <= 9223372036854775807, got 100000000000000000000")
