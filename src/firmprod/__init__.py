@@ -5,141 +5,78 @@ productivity and added-value measures, Cobb-Douglas production-function
 estimation, rank-size / power-law tail analysis, a wage-equalization
 reallocation simulator, and a seeded synthetic-economy generator used to
 validate every estimator against known ground truth.
+
+Importing the package runs none of its modules. Each one is registered in
+``sys.modules`` (and as a package attribute) with a lazy loader, so its body
+runs on the first attribute access; an exported name resolves through
+:data:`_ORIGIN` on first use (PEP 562). A command therefore pays only for the
+modules it touches.
 """
 
-from .equilibrium import (
-    AdaptiveStep,
-    DispersionStats,
-    FixedStep,
-    MarketContext,
-    ReallocationTrace,
-    TheoryFirm,
-    TraceStep,
-    equilibrium_dispersion,
-    marginal_labor_productivity,
-    optimal_labor,
-    output,
-    profit,
-    simulate_reallocation,
-)
-from .ingest import (
-    CsvSchema,
-    MergePolicy,
-    ParseReport,
-    filter_dataset,
-    merge_datasets,
-    parse_firm_records,
-    write_firm_records,
-)
-from .measures import (
-    Evaluation,
-    MacroContext,
-    MacroEntry,
-    ProductivityMeasure,
-    SectorAggregate,
-    ValueBasis,
-    added_value,
-    aggregate_by_sector,
-    backout_nonmanufacturing_ratio,
-    evaluate,
-    gdp_coverage,
-    gross_margin,
-    labor_productivity,
-    size_sweep,
-)
-from .pareto import (
-    ParetoFit,
-    RankSizeSeries,
-    TailSpec,
-    fit_pareto,
-    hill_estimate,
-    pareto_time_series,
-    rank_size,
-)
-from .production import (
-    LogDesign,
-    ProductionFit,
-    ReturnsToScale,
-    ScaleRegime,
-    classify_returns,
-    fit_by_stratum,
-    fit_cobb_douglas,
-    log_design,
-    productivity_from_capital_ratio,
-)
-from .records import Dataset, FirmRecord
-from .synth import (
-    CapitalRule,
-    FixedSize,
-    LognormalSize,
-    ParetoSize,
-    SynthSpec,
-    gen_cobb_douglas_firms,
-    gen_pareto_sample,
-    gen_size_graded_economy,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptiveStep",
-    "CapitalRule",
-    "CsvSchema",
-    "Dataset",
-    "DispersionStats",
-    "Evaluation",
-    "FirmRecord",
-    "FixedSize",
-    "FixedStep",
-    "LogDesign",
-    "LognormalSize",
-    "MacroContext",
-    "MacroEntry",
-    "MarketContext",
-    "MergePolicy",
-    "ParetoFit",
-    "ParetoSize",
-    "ParseReport",
-    "ProductionFit",
-    "ProductivityMeasure",
-    "RankSizeSeries",
-    "ReallocationTrace",
-    "ReturnsToScale",
-    "ScaleRegime",
-    "SectorAggregate",
-    "SynthSpec",
-    "TailSpec",
-    "TheoryFirm",
-    "TraceStep",
-    "ValueBasis",
-    "added_value",
-    "aggregate_by_sector",
-    "backout_nonmanufacturing_ratio",
-    "classify_returns",
-    "equilibrium_dispersion",
-    "evaluate",
-    "filter_dataset",
-    "fit_by_stratum",
-    "fit_cobb_douglas",
-    "fit_pareto",
-    "gdp_coverage",
-    "gen_cobb_douglas_firms",
-    "gen_pareto_sample",
-    "gen_size_graded_economy",
-    "gross_margin",
-    "hill_estimate",
-    "labor_productivity",
-    "log_design",
-    "marginal_labor_productivity",
-    "merge_datasets",
-    "optimal_labor",
-    "output",
-    "pareto_time_series",
-    "parse_firm_records",
-    "productivity_from_capital_ratio",
-    "profit",
-    "rank_size",
-    "simulate_reallocation",
-    "size_sweep",
-    "write_firm_records",
-]
+_EXPORTS = {
+    "equilibrium": (
+        "AdaptiveStep", "DispersionStats", "FixedStep", "MarketContext", "ReallocationTrace",
+        "TheoryFirm", "TraceStep", "equilibrium_dispersion", "marginal_labor_productivity",
+        "optimal_labor", "output", "profit", "simulate_reallocation",
+    ),
+    "ingest": (
+        "CsvSchema", "MergePolicy", "ParseReport", "filter_dataset", "merge_datasets",
+        "parse_firm_records", "write_firm_records",
+    ),
+    "measures": (
+        "Evaluation", "MacroContext", "MacroEntry", "ProductivityMeasure", "SectorAggregate",
+        "ValueBasis", "added_value", "aggregate_by_sector", "backout_nonmanufacturing_ratio",
+        "evaluate", "gdp_coverage", "gross_margin", "labor_productivity", "size_sweep",
+    ),
+    "pareto": (
+        "ParetoFit", "RankSizeSeries", "TailSpec", "fit_pareto", "hill_estimate",
+        "pareto_time_series", "rank_size",
+    ),
+    "production": (
+        "LogDesign", "ProductionFit", "ReturnsToScale", "ScaleRegime", "classify_returns",
+        "fit_by_stratum", "fit_cobb_douglas", "log_design", "productivity_from_capital_ratio",
+    ),
+    "records": ("Dataset", "FirmRecord"),
+    "synth": (
+        "CapitalRule", "FixedSize", "LognormalSize", "ParetoSize", "SynthSpec",
+        "gen_cobb_douglas_firms", "gen_pareto_sample", "gen_size_graded_economy",
+    ),
+}
+
+#: Exported name -> the module that defines it.
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def _register_lazily(name: str) -> None:
+    fullname = f"{__name__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)  # defers the body to the first attribute access
+    globals()[name] = sys.modules[fullname]
+
+
+# Every module but ``cli``, which ``python -m firmprod.cli`` runs as ``__main__``.
+for _name in ("_emit", "errors", *_EXPORTS):
+    _register_lazily(_name)
+del _name
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[module], name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

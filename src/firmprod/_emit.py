@@ -4,6 +4,10 @@ Every emitted file starts with a comment header recording the tool version,
 a hash of the run configuration, and the row count, and is written
 atomically (temp file + rename). Numeric cells are formatted at 15
 significant digits so identical runs produce byte-identical files.
+
+Tables are handed over as columns (:class:`Table`). CSV is written in
+blocks of rows, each column of a block formatted in one pass; only the lines
+with a text cell that needs quoting are built cell by cell.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import tempfile
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 
@@ -25,6 +31,8 @@ def config_hash(payload: Mapping[str, object]) -> str:
 
 
 def format_cell(value: object) -> str:
+    if type(value) is str:  # the common text cell, first
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -63,6 +71,10 @@ def header_lines(cfg_hash: str, rows: int) -> list[str]:
     ]
 
 
+#: A cell holding any of these is quoted.
+_QUOTED = ',"\r\n'
+
+
 def _quote(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"'
 
@@ -78,61 +90,156 @@ def _csv_line(cells: Sequence[str]) -> str:
     if (line.count(",") == len(cells) - 1 and '"' not in line and "\n" not in line
             and "\r" not in line and not line.lstrip().startswith("#")):
         return line
-    quoted = [_quote(cell) if any(ch in cell for ch in ',"\r\n') else cell for cell in cells]
+    quoted = [_quote(cell) if any(ch in cell for ch in _QUOTED) else cell for cell in cells]
     if cells and cells[0].lstrip().startswith("#"):
         quoted[0] = _quote(cells[0])
     return ",".join(quoted)
 
 
-def write_table_csv(
-    path: str | Path,
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    cfg_hash: str,
-) -> None:
-    lines = header_lines(cfg_hash, len(rows))
-    lines.append(_csv_line(columns))
-    for row in rows:
-        lines.append(_csv_line([format_cell(cell) for cell in row]))
+class Table:
+    """Equal-length columns of an emitted table; ``len()`` is its row count.
+
+    A column is a float64 array, an integer array, a :class:`BlankableFloats`
+    or any other sequence of cells, each formatted by :func:`format_cell`.
+    """
+
+    __slots__ = ("columns", "_rows")
+
+    def __init__(self, *columns: Sequence[object]) -> None:
+        lengths = {len(column) for column in columns}
+        if len(lengths) > 1:
+            raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+        self.columns = columns
+        self._rows = lengths.pop() if lengths else 0
+
+    @classmethod
+    def row(cls, *cells: object) -> Table:
+        """A one-row table."""
+        return cls(*([cell] for cell in cells))
+
+    def __len__(self) -> int:
+        return self._rows
+
+
+class BlankableFloats:
+    """A float64 column whose cells are blank (empty in CSV, null in JSON)
+    where ``present`` is False."""
+
+    __slots__ = ("values", "present")
+
+    def __init__(self, values: np.ndarray, present: np.ndarray) -> None:
+        self.values = values
+        self.present = present
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows: slice) -> BlankableFloats:
+        return BlankableFloats(self.values[rows], self.present[rows])
+
+
+#: Rows formatted together when writing CSV.
+_BLOCK_ROWS = 512
+
+
+def _is_float64(column: object) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
+def _is_integer(column: object) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in "iu"
+
+
+def _is_numeric(column: object) -> bool:
+    """Whether the column's cells are numbers or blanks, which never need quoting."""
+    return isinstance(column, BlankableFloats) or _is_float64(column) or _is_integer(column)
+
+
+def _format_column(column: Sequence[object]) -> list[str]:
+    if isinstance(column, BlankableFloats):
+        cells = list(map("{:.15g}".format, column.values.tolist()))
+        for i in np.flatnonzero(~column.present).tolist():
+            cells[i] = ""
+        return cells
+    if _is_float64(column):
+        return list(map("{:.15g}".format, column.tolist()))
+    if _is_integer(column):
+        return list(map(str, column.tolist()))
+    return list(map(format_cell, column))
+
+
+def _rows_to_quote(cells: list[str], first: bool) -> set[int]:
+    """Rows whose cell in this text column makes :func:`_csv_line` quote."""
+    joined = "".join(cells)
+    rows = set()
+    if any(ch in joined for ch in _QUOTED):
+        rows.update(i for i, cell in enumerate(cells) if any(ch in cell for ch in _QUOTED))
+    if first and "#" in joined:
+        rows.update(i for i, cell in enumerate(cells) if cell.lstrip().startswith("#"))
+    return rows
+
+
+def _csv_block(columns: Sequence[Sequence[object]]) -> list[str]:
+    """The CSV lines of equal-length columns."""
+    texts = [_format_column(column) for column in columns]
+    lines = list(map(",".join, zip(*texts)))
+    quote: set[int] = set()
+    for j, (column, cells) in enumerate(zip(columns, texts)):
+        if not _is_numeric(column):
+            quote |= _rows_to_quote(cells, first=j == 0)
+    for i in quote:
+        lines[i] = _csv_line([cells[i] for cells in texts])
+    return lines
+
+
+def write_table_csv(path: str | Path, names: Sequence[str], table: Table, cfg_hash: str) -> None:
+    lines = [*header_lines(cfg_hash, len(table)), _csv_line(names)]
+    # Blocks of rows bound the formatted cells alive at once to one block's.
+    for start in range(0, len(table), _BLOCK_ROWS):
+        lines += _csv_block([column[start:start + _BLOCK_ROWS] for column in table.columns])
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
-def write_table_json(
-    path: str | Path,
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    cfg_hash: str,
-) -> None:
-    def jsonable(value: object) -> object:
-        if isinstance(value, float):
-            return float(format_cell(value))
-        return value
+def _json_column(column: Sequence[object]) -> list[object]:
+    if _is_integer(column):
+        return column.tolist()
+    if _is_numeric(column):  # float64 or blankable: the CSV text, read back
+        return [float(cell) if cell else None for cell in _format_column(column)]
+    return [float(format_cell(cell)) if isinstance(cell, float) else cell for cell in column]
 
+
+def write_table_json(path: str | Path, names: Sequence[str], table: Table, cfg_hash: str) -> None:
     doc = {
         "tool": f"firmprod {__version__}",
         "config": cfg_hash,
-        "rows": len(rows),
-        "data": [
-            {col: jsonable(cell) for col, cell in zip(columns, row)} for row in rows
-        ],
+        "rows": len(table),
+        "data": [dict(zip(names, row))
+                 for row in zip(*(_json_column(column) for column in table.columns))],
     }
     atomic_write_text(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_table(
     path: str | Path,
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
+    names: Sequence[str],
+    table: Table,
     cfg_hash: str,
     fmt: str = "csv",
 ) -> Path:
+    """Write ``table`` under the column ``names`` as ``path`` + ``.csv`` or ``.json``.
+
+    A float64 array is formatted with ``"{:.15g}"``, an integer array with
+    ``str``, and any other column cell by cell with :func:`format_cell`.
+    """
+    if len(names) != len(table.columns):
+        raise ValueError(f"{len(names)} column names for {len(table.columns)} columns")
     path = Path(path)
     if fmt == "csv":
         target = path.with_suffix(".csv")
-        write_table_csv(target, columns, rows, cfg_hash)
+        write_table_csv(target, names, table, cfg_hash)
     elif fmt == "json":
         target = path.with_suffix(".json")
-        write_table_json(target, columns, rows, cfg_hash)
+        write_table_json(target, names, table, cfg_hash)
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     return target

@@ -8,27 +8,28 @@ byte-identical output files.
 
 Exit codes: 0 success, 2 configuration error (including bad flags),
 3 data error, 4 numerical degeneracy.
+
+Every command needs ``ingest``, ``measures`` and ``_emit``, imported here; the
+``production``, ``pareto``, ``synth`` and ``equilibrium`` layers are imported
+inside the commands that run them, so no other command pays for loading them.
 """
 
 from __future__ import annotations
 
 import io
+import math
+from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
 from . import __version__
-from ._emit import atomic_write_text, config_hash, header_lines, write_table
-from .equilibrium import (
-    AdaptiveStep,
-    FixedStep,
-    TheoryFirm,
-    marginal_labor_productivity,
-    simulate_reallocation,
-)
+from ._emit import BlankableFloats, Table, atomic_write_text, config_hash, header_lines, write_table
 from .errors import ConfigError, DataError, NumericalError, ValidationError
 from .ingest import (
     CsvSchema,
@@ -39,9 +40,9 @@ from .ingest import (
     write_firm_records,
 )
 from .measures import Evaluation, MacroContext, ValueBasis, evaluate
-from .pareto import TailSpec, default_tail, fit_pareto, fit_years, level_values, rank_size
-from .production import classify_returns, fit_by_stratum
-from .synth import SynthSpec, gen_cobb_douglas_firms
+
+if TYPE_CHECKING:
+    from .equilibrium import AdaptiveStep, FixedStep, TheoryFirm
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -138,8 +139,24 @@ def _echo_excluded(ev: Evaluation) -> None:
         click.echo(f"excluded {ev.excluded} records the basis could not evaluate", err=True)
 
 
-def _log10_or_none(value: float) -> float | None:
-    return float(np.log10(value)) if value > 0 else None
+def _log10_where_positive(values: np.ndarray) -> BlankableFloats:
+    """log10 of the positive cells; the others (NaN included) are blank."""
+    positive = values > 0
+    logs = np.zeros(len(values))
+    logs[positive] = np.log10(values[positive])
+    return BlankableFloats(logs, positive)
+
+
+def _fields(items: Iterable[object], *names: str) -> list[list[object]]:
+    """One column per attribute name, over ``items``."""
+    items = list(items)
+    return [list(map(attrgetter(name), items)) for name in names]
+
+
+def _transpose(rows: Iterable[tuple], width: int) -> list[list[object]]:
+    """The ``width`` columns of equal-length tuples (``width`` empty ones for no tuples)."""
+    rows = list(rows)
+    return [[row[i] for row in rows] for i in range(width)]
 
 
 @main.command()
@@ -149,6 +166,8 @@ def _log10_or_none(value: float) -> float | None:
 @_out_option
 def synth(spec_path: str, seed: int | None, out_dir: str) -> None:
     """Generate a synthetic firm dataset (written in the ingest CSV schema)."""
+    from .synth import SynthSpec, gen_cobb_douglas_firms
+
     spec = SynthSpec.from_json(spec_path)
     if seed is not None:
         spec = replace(spec, seed=seed)
@@ -178,18 +197,16 @@ def ingest(input_path: str, schema_path: str | None, strict: bool, out_dir: str,
     report = _load(input_path, schema_path, strict)
     dataset = report.dataset
     years = dataset.years()
-    rows = [
-        ("records", len(dataset)),
-        ("skipped_rows", report.n_skipped),
-        ("firms", len(set(dataset.column("firm_id").tolist()))),
-        ("countries", ";".join(dataset.countries())),
-        ("year_min", years[0] if years else None),
-        ("year_max", years[-1] if years else None),
-        ("currency_unit", dataset.currency_unit),
-    ]
+    summary = Table(
+        ["records", "skipped_rows", "firms", "countries", "year_min", "year_max",
+         "currency_unit"],
+        [len(dataset), report.n_skipped, len(set(dataset.column("firm_id").tolist())),
+         ";".join(dataset.countries()), years[0] if years else None,
+         years[-1] if years else None, dataset.currency_unit],
+    )
     cfg = config_hash({"command": "ingest", "input": input_path, "schema": schema_path,
                        "strict": strict})
-    target = write_table(Path(out_dir) / "summary", ("key", "value"), rows, cfg, fmt)
+    target = write_table(Path(out_dir) / "summary", ("key", "value"), summary, cfg, fmt)
     for issue in report.skipped:
         click.echo(f"skipped line {issue.line}: {issue.reason}", err=True)
     click.echo(f"parsed {len(dataset)} records ({report.n_skipped} skipped); wrote {target}")
@@ -213,16 +230,11 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
                        "macro": macro_path, "basis": basis, "year": year, "mode": mode})
 
     out = Path(out_dir)
-    keys = [ev.column(name).tolist()
-            for name in ("firm_id", "year", "country", "sector", "sector_class")]
-    firm_table = [
-        (
-            *key, workers, value, productivity,
-            _log10_or_none(float(workers)), _log10_or_none(productivity),
-        )
-        for *key, workers, value, productivity in zip(
-            *keys, ev.workers.tolist(), ev.values.tolist(), ev.productivity.tolist())
-    ]
+    firm_table = Table(
+        *(ev.column(name) for name in ("firm_id", "year", "country", "sector", "sector_class")),
+        ev.workers, ev.values, ev.productivity,
+        _log10_where_positive(ev.workers), _log10_where_positive(ev.productivity),
+    )
     firm_target = write_table(
         out / "firm_productivity",
         ("firm_id", "year", "country", "sector", "sector_class", "workers",
@@ -230,12 +242,11 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
         firm_table, cfg, fmt,
     )
 
-    aggregates = ev.pool_by("sector", mode)
-    sector_table = [
-        (sector, agg.n_firms, agg.total_value, agg.total_workers, agg.productivity,
-         _log10_or_none(agg.productivity))
-        for sector, agg in sorted(aggregates.items())
-    ]
+    aggregates = dict(sorted(ev.pool_by("sector", mode).items()))
+    pooled = _fields(aggregates.values(), "n_firms", "total_value", "total_workers",
+                     "productivity")
+    sector_table = Table(list(aggregates), *pooled,
+                         _log10_where_positive(np.array(pooled[-1], dtype=float)))
     write_table(
         out / "sector_productivity",
         ("sector", "n_firms", "total_value", "total_workers", "productivity",
@@ -254,7 +265,7 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
                 coverage_rows.append((country, yr, agg.total_value / ctx.gdp(country, yr)))
         if coverage_rows:
             write_table(out / "gdp_coverage", ("country", "year", "coverage"),
-                        coverage_rows, cfg, fmt)
+                        Table(*_transpose(coverage_rows, 3)), cfg, fmt)
 
     _echo_excluded(ev)
     click.echo(f"wrote measures for {len(ev.rows)} firms to {out} ({firm_target.suffix[1:]})")
@@ -275,6 +286,8 @@ def fit_production(input_path: str, schema_path: str | None, macro_path: str | N
                    basis: str, pool_years: bool, rts_tol: float, strict: bool,
                    out_dir: str, fmt: str) -> None:
     """Cobb-Douglas fits per (country, sector_class, year) stratum."""
+    from .production import classify_returns, fit_by_stratum
+
     if not rts_tol > 0:  # also refuses nan
         raise ConfigError(f"--rts-tol must be > 0, got {rts_tol}")
     report = _load(input_path, schema_path, strict)
@@ -284,24 +297,24 @@ def fit_production(input_path: str, schema_path: str | None, macro_path: str | N
     cfg = config_hash({"command": "fit-production", "input": input_path,
                        "schema": schema_path, "macro": macro_path, "basis": basis,
                        "pool_years": pool_years, "rts_tol": rts_tol})
-    rows = []
-    for (country, sector_class, yr), fit in fits.items():
-        regime = classify_returns(fit, rts_tol)
-        rows.append((
-            country, sector_class, yr, fit.log_a, fit.alpha, fit.beta,
-            fit.se_log_a, fit.se_alpha, fit.se_beta, fit.r2, fit.n_used, fit.excluded,
-            regime.sum_elasticities, regime.classification.value,
-        ))
+    regimes = [classify_returns(fit, rts_tol) for fit in fits.values()]
+    table = Table(
+        *_transpose(fits, 3),
+        *_fields(fits.values(), "log_a", "alpha", "beta", "se_log_a", "se_alpha", "se_beta",
+                 "r2", "n_used", "excluded"),
+        [regime.sum_elasticities for regime in regimes],
+        [regime.classification.value for regime in regimes],
+    )
     target = write_table(
         Path(out_dir) / "production_fits",
         ("country", "sector_class", "year", "log_a", "alpha", "beta",
          "se_log_a", "se_alpha", "se_beta", "r2", "n_used", "excluded",
          "sum_elasticities", "returns_to_scale"),
-        rows, cfg, fmt,
+        table, cfg, fmt,
     )
     for key, reason in failures.items():
         click.echo(f"skipped stratum {key}: {reason}", err=True)
-    click.echo(f"fitted {len(rows)} strata; wrote {target}")
+    click.echo(f"fitted {len(table)} strata; wrote {target}")
 
 
 @main.command("fit-pareto")
@@ -322,6 +335,8 @@ def fit_pareto_cmd(input_path: str, schema_path: str | None, macro_path: str | N
                    basis: str, level: str, tail_text: str | None, year: int | None,
                    strict: bool, out_dir: str, fmt: str) -> None:
     """Rank-size series and power-law tail fit of productivity."""
+    from .pareto import TailSpec, default_tail, fit_pareto, level_values, rank_size
+
     ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis, year)
     tail = TailSpec.parse(tail_text) if tail_text else default_tail(level)
     series = rank_size(level_values(ev, level))
@@ -331,19 +346,18 @@ def fit_pareto_cmd(input_path: str, schema_path: str | None, macro_path: str | N
                        "macro": macro_path, "basis": basis, "level": level,
                        "tail": tail_text, "year": year})
     out = Path(out_dir)
-    series_rows = [
-        (rank, value, float(np.log10(rank)), float(np.log10(value)))
-        for rank, value in series.points()
-    ]
+    # A rank-size series holds positive values only, so no log10 cell is blank.
+    series_table = Table(series.ranks, series.values,
+                         np.log10(series.ranks), np.log10(series.values))
     write_table(out / "rank_size", ("rank", "value", "log10_rank", "log10_value"),
-                series_rows, cfg, fmt)
-    fit_rows = [(fit.mu, fit.se_mu, fit.r2, fit.intercept, -fit.mu, fit.min_rank,
-                 fit.max_rank, fit.tail_fraction, fit.n, series.excluded)]
+                series_table, cfg, fmt)
+    fit_row = Table.row(fit.mu, fit.se_mu, fit.r2, fit.intercept, -fit.mu, fit.min_rank,
+                        fit.max_rank, fit.tail_fraction, fit.n, series.excluded)
     target = write_table(
         out / "pareto_fit",
         ("mu", "se_mu", "r2", "intercept", "slope", "min_rank", "max_rank",
          "tail_fraction", "n", "excluded"),
-        fit_rows, cfg, fmt,
+        fit_row, cfg, fmt,
     )
     _echo_excluded(ev)
     click.echo(f"mu = {fit.mu:.6g} (se {fit.se_mu:.2g}, r2 {fit.r2:.4f}); wrote {target}")
@@ -365,6 +379,8 @@ def pareto_series(input_path: str, schema_path: str | None, macro_path: str | No
                   basis: str, level: str, tail_text: str | None, strict: bool,
                   out_dir: str, fmt: str) -> None:
     """Tail-exponent fit per year."""
+    from .pareto import TailSpec, default_tail, fit_years, level_values
+
     ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
     tail = TailSpec.parse(tail_text) if tail_text else default_tail(level)
     per_year = ev.split("year")
@@ -373,14 +389,13 @@ def pareto_series(input_path: str, schema_path: str | None, macro_path: str | No
     cfg = config_hash({"command": "pareto-series", "input": input_path,
                        "schema": schema_path, "macro": macro_path, "basis": basis,
                        "level": level, "tail": tail_text})
-    rows = [(yr, fit.mu, fit.se_mu, fit.r2, fit.tail_fraction)
-            for yr, fit in fits.items()]
+    table = Table(list(fits), *_fields(fits.values(), "mu", "se_mu", "r2", "tail_fraction"))
     target = write_table(Path(out_dir) / "pareto_series",
-                         ("year", "mu", "se_mu", "r2", "tail_fraction"), rows, cfg, fmt)
+                         ("year", "mu", "se_mu", "r2", "tail_fraction"), table, cfg, fmt)
     for yr in sorted(set(per_year) - set(fits)):
         click.echo(f"year {yr}: no fit (insufficient or degenerate data)", err=True)
     _echo_excluded(ev)
-    click.echo(f"fitted {len(rows)} years; wrote {target}")
+    click.echo(f"fitted {len(table)} years; wrote {target}")
 
 
 @main.command("prod-series")
@@ -396,21 +411,21 @@ def prod_series(input_path: str, schema_path: str | None, macro_path: str | None
                 basis: str, mode: str, strict: bool, out_dir: str, fmt: str) -> None:
     """Pooled productivity by sector class over time."""
     ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
-    series = ev.pool_by(("year", "sector_class"), mode)
-    rows = [
-        (yr, sector_class, agg.n_firms, agg.total_value, agg.total_workers, agg.productivity)
-        for (yr, sector_class), agg in sorted(series.items())
-    ]
+    series = dict(sorted(ev.pool_by(("year", "sector_class"), mode).items()))
+    table = Table(
+        *_transpose(series, 2),
+        *_fields(series.values(), "n_firms", "total_value", "total_workers", "productivity"),
+    )
 
     cfg = config_hash({"command": "prod-series", "input": input_path, "schema": schema_path,
                        "macro": macro_path, "basis": basis, "mode": mode})
     target = write_table(
         Path(out_dir) / "productivity_series",
         ("year", "sector_class", "n_firms", "total_value", "total_workers", "productivity"),
-        rows, cfg, fmt,
+        table, cfg, fmt,
     )
     _echo_excluded(ev)
-    click.echo(f"wrote {len(rows)} series points to {target}")
+    click.echo(f"wrote {len(table)} series points to {target}")
 
 
 @main.command("size-sweep")
@@ -442,15 +457,17 @@ def size_sweep_cmd(input_path: str, schema_path: str | None, macro_path: str | N
     cfg = config_hash({"command": "size-sweep", "input": input_path, "schema": schema_path,
                        "macro": macro_path, "basis": basis, "thresholds": thresholds,
                        "mode": mode, "year": year})
-    rows = list(sweep.items())
+    table = Table(list(sweep), list(sweep.values()))
     target = write_table(Path(out_dir) / "size_sweep", ("threshold", "productivity"),
-                         rows, cfg, fmt)
+                         table, cfg, fmt)
     _echo_excluded(ev)
-    click.echo(f"wrote {len(rows)} sweep points to {target}")
+    click.echo(f"wrote {len(table)} sweep points to {target}")
 
 
 def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | AdaptiveStep,
                                             float, int, float]:
+    from .equilibrium import AdaptiveStep, FixedStep, TheoryFirm
+
     raw = read_json_config(path, "scenario")
     if "firms" not in raw:
         raise ConfigError(f"{path}: scenario must have a 'firms' list")
@@ -467,13 +484,15 @@ def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | Adapti
         else:
             raise ConfigError(f"step_rule kind must be 'fixed' or 'adaptive', got {kind!r}")
         tol = float(raw.get("tol", 1e-8))
-        if not tol > 0:
-            raise ConfigError(f"{path}: tol must be > 0, got {tol}")
-        max_iter = int(raw.get("max_iter", 100_000))
+        if not 0 < tol < math.inf:
+            raise ConfigError(f"{path}: tol must be finite and > 0, got {tol}")
+        max_iter = raw.get("max_iter", 100_000)
+        if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
+            raise ConfigError(f"{path}: max_iter must be an integer >= 0, got {max_iter!r}")
         floor = float(raw.get("labor_floor", 1e-9))
-        if not floor >= 0:
-            raise ConfigError(f"{path}: labor_floor must be >= 0, got {floor}")
-    except (TypeError, ValueError) as exc:
+        if not 0 <= floor < math.inf:
+            raise ConfigError(f"{path}: labor_floor must be finite and >= 0, got {floor}")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad scenario: {exc}") from exc
     return firms, rule, tol, max_iter, floor
 
@@ -485,28 +504,22 @@ def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | Adapti
 @_format_option
 def simulate(scenario_path: str, out_dir: str, fmt: str) -> None:
     """Run the labor-reallocation simulator and emit its trace."""
+    from .equilibrium import marginal_labor_productivity, simulate_reallocation
+
     firms, rule, tol, max_iter, floor = _scenario_from_json(scenario_path)
     trace = simulate_reallocation(firms, step_rule=rule, tol=tol, max_iter=max_iter,
                                   labor_floor=floor)
     cfg = config_hash({"command": "simulate", "scenario": scenario_path})
     out = Path(out_dir)
-    trace_rows = [
-        (s.iteration, s.mover_from, s.mover_to, s.delta_labor, s.max_spread,
-         s.total_output, s.total_labor)
-        for s in trace.steps
-    ]
-    write_table(out / "trace",
-                ("iteration", "mover_from", "mover_to", "delta_labor", "max_spread",
-                 "total_output", "total_labor"),
-                trace_rows, cfg, fmt)
-    firm_rows = [
-        (f.id, f.scale, f.alpha, f.beta, f.capital, f.labor, marginal_labor_productivity(f))
-        for f in trace.final_firms
-    ]
-    target = write_table(out / "final_firms",
-                         ("id", "scale", "alpha", "beta", "capital", "labor",
-                          "marginal_productivity"),
-                         firm_rows, cfg, fmt)
+    trace_columns = ("iteration", "mover_from", "mover_to", "delta_labor", "max_spread",
+                     "total_output", "total_labor")
+    write_table(out / "trace", trace_columns, Table(*_fields(trace.steps, *trace_columns)),
+                cfg, fmt)
+    firm_columns = ("id", "scale", "alpha", "beta", "capital", "labor")
+    firms_table = Table(*_fields(trace.final_firms, *firm_columns),
+                        list(map(marginal_labor_productivity, trace.final_firms)))
+    target = write_table(out / "final_firms", (*firm_columns, "marginal_productivity"),
+                         firms_table, cfg, fmt)
     status = "converged" if trace.converged else "did not converge"
     click.echo(f"{status} after {trace.iterations} iterations; wrote {target}")
 

@@ -32,6 +32,16 @@ DEFAULT_LABOR_FLOOR = 1e-9
 _MAX_STEP_SHRINKS = 200
 
 
+def _positive_finite(value: float) -> bool:
+    """Whether ``value`` is > 0 and finite; an int beyond the float range is not."""
+    if value <= 0:
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class TheoryFirm:
     """A Cobb-Douglas firm with continuous labor.
@@ -49,9 +59,9 @@ class TheoryFirm:
     labor: float
 
     def __post_init__(self) -> None:
-        if self.scale <= 0 or self.capital <= 0 or self.labor <= 0:
+        if not all(map(_positive_finite, (self.scale, self.capital, self.labor))):
             raise ValidationError(
-                f"firm {self.id!r}: scale, capital and labor must be > 0"
+                f"firm {self.id!r}: scale, capital and labor must be finite and > 0"
             )
         if not 0 < self.alpha < 1:
             raise ValidationError(f"firm {self.id!r}: alpha must lie in (0, 1)")
@@ -68,8 +78,8 @@ class MarketContext:
     wage: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.price <= 0:
-            raise ValidationError(f"price must be > 0, got {self.price}")
+        if not _positive_finite(self.price):
+            raise ValidationError(f"price must be finite and > 0, got {self.price}")
         if self.interest_rate < 0 or self.wage < 0:
             raise ValidationError("interest_rate and wage must be >= 0")
 
@@ -89,8 +99,8 @@ class FixedStep:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValidationError(f"delta must be > 0, got {self.delta}")
+        if not _positive_finite(self.delta):
+            raise ValidationError(f"delta must be finite and > 0, got {self.delta}")
 
 
 @dataclass(frozen=True)

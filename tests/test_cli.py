@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import firmprod
+from firmprod import cli
 from firmprod._emit import format_cell
 from firmprod.cli import main
 from firmprod.ingest import Dataset, FirmRecord, write_firm_records
@@ -299,6 +301,47 @@ def test_malformed_scenario_is_a_config_error(text, tmp_path):
 _HEADER = "firm_id,year,country,sector,sector_class,revenue,cogs,workers\n"
 
 
+def _scenario_text(firm: dict | None = None, **top) -> str:
+    """A two-firm scenario; the string "1e400" is written as a bare JSON number."""
+    firms = [{**_TWO_FIRMS[0], **(firm or {})}, _TWO_FIRMS[1]]
+    return json.dumps({"firms": firms, **top}).replace('"1e400"', "1e400")
+
+
+_NAN, _INF = float("nan"), float("inf")
+_SIZES = "firm 'a': scale, capital and labor must be finite and > 0"
+
+
+@pytest.mark.parametrize("firm, top, code, message", [
+    ({"scale": _NAN}, {}, 3, _SIZES),
+    ({"labor": _NAN}, {}, 3, _SIZES),
+    ({"capital": _INF}, {}, 3, _SIZES),
+    ({"labor": 10**400}, {}, 3, _SIZES),
+    (None, {"step_rule": {"kind": "fixed", "delta": _NAN}}, 3,
+     "delta must be finite and > 0, got nan"),
+    (None, {"step_rule": {"kind": "fixed", "delta": _INF}}, 3,
+     "delta must be finite and > 0, got inf"),
+    (None, {"max_iter": "1e400"}, 2, "max_iter must be an integer >= 0, got inf"),
+    (None, {"max_iter": -3}, 2, "max_iter must be an integer >= 0, got -3"),
+    (None, {"max_iter": 2.7}, 2, "max_iter must be an integer >= 0, got 2.7"),
+    (None, {"max_iter": True}, 2, "max_iter must be an integer >= 0, got True"),
+    (None, {"tol": "1e400"}, 2, "tol must be finite and > 0, got inf"),
+    (None, {"tol": _INF}, 2, "tol must be finite and > 0, got inf"),
+    (None, {"labor_floor": _INF}, 2, "labor_floor must be finite and >= 0, got inf"),
+], ids=["nan-scale", "nan-labor", "infinite-capital", "huge-int-labor", "nan-delta",
+        "infinite-delta", "overflowing-max-iter", "negative-max-iter", "fractional-max-iter",
+        "bool-max-iter", "overflowing-tol", "infinite-tol", "infinite-labor-floor"])
+def test_a_non_finite_or_non_integer_scenario_value_is_refused(firm, top, code, message,
+                                                                tmp_path):
+    (tmp_path / "scenario.json").write_text(_scenario_text(firm, **top))
+    result = run_process(tmp_path, "simulate", "--scenario", "scenario.json", "--out", "out")
+    assert result.returncode == code, result.stderr
+    kind = "config" if code == 2 else "data"
+    prefix = f"error ({kind}): " + ("scenario.json: " if code == 2 else "")
+    assert result.stderr == prefix + message + "\n"
+    assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, option, text", [
     ("ingest", "--schema", '{"columns": '),
     ("measures", "--macro", '{"columns": '),
@@ -365,6 +408,44 @@ def test_non_finite_macro_entry_is_a_data_error(entry, tmp_path):
     assert "must be finite" in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_firms_without_a_positive_productivity_get_blank_log_cells(runner):
+    rows = ["N1,2003,JP,s,manufacturing,5,9,2", "Z1,2003,JP,s,manufacturing,5,5,4",
+            "P1,2003,JP,s,manufacturing,9,1,100", "N2,2003,JP,t,manufacturing,1,2,10"]
+    with runner.isolated_filesystem():
+        Path("firms.csv").write_text(_HEADER + "\n".join(rows) + "\n")
+        for fmt in ("csv", "json"):
+            run_ok(runner, ["measures", "--input", "firms.csv", "--out", "out",
+                            "--format", fmt])
+        firms = read_rows("out/firm_productivity.csv")
+        assert [(r["firm_id"], r["productivity"], r["log10_productivity"]) for r in firms] == [
+            ("N1", "-2", ""), ("Z1", "0", ""), ("P1", "0.08", "-1.09691001300806"),
+            ("N2", "-0.1", ""),
+        ]
+        assert [r["log10_workers"] for r in firms] == [
+            "0.301029995663981", "0.602059991327962", "2", "1"]
+        sectors = {r["sector"]: r["log10_productivity"]
+                   for r in read_rows("out/sector_productivity.csv")}
+        assert sectors == {"s": "-1.42324587393681", "t": ""}  # log10(4 / 106)
+        data = json.loads(Path("out/firm_productivity.json").read_text())["data"]
+        assert [d["log10_productivity"] for d in data] == [None, None, -1.09691001300806, None]
+
+
+def test_log10_columns_match_the_scalar_log10_cell_by_cell():
+    rng = np.random.default_rng(5)
+    values = np.concatenate([
+        rng.lognormal(0.0, 5.0, 5000) * rng.choice([-1.0, 1.0], 5000),
+        np.arange(1, 3001, dtype=float), [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308],
+    ])
+    column = cli._log10_where_positive(values)
+    expected = [float(np.log10(v)) if v > 0 else None for v in values.tolist()]
+    got = [v if p else None for v, p in zip(column.values.tolist(), column.present.tolist())]
+    assert got == expected
+    ints = np.arange(-5, 3000, dtype=np.int64)
+    column = cli._log10_where_positive(ints)
+    assert [v if p else None for v, p in zip(column.values.tolist(), column.present.tolist())] \
+        == [float(np.log10(float(v))) if v > 0 else None for v in ints.tolist()]
 
 
 def test_tables_quote_cells_a_csv_reader_would_split(runner):

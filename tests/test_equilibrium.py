@@ -490,3 +490,15 @@ def test_theory_firm_validation():
         firm(beta=1.5)
     with pytest.raises(ValidationError):
         MarketContext(price=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+def test_non_finite_sizes_steps_and_prices_are_rejected(bad):
+    for field in ("scale", "capital", "labor"):
+        with pytest.raises(ValidationError, match="must be finite and > 0"):
+            firm(**{field: bad})
+    with pytest.raises(ValidationError, match="delta must be finite and > 0"):
+        FixedStep(delta=bad)
+    with pytest.raises(ValidationError, match="price must be finite and > 0"):
+        MarketContext(price=bad)
