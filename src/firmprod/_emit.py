@@ -16,8 +16,10 @@ import hashlib
 import json
 import os
 import tempfile
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -48,12 +50,20 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def atomic_open(path: Path, binary: bool = False) -> Iterator[IO]:
+    """A new file to write ``path`` through, creating its directory.
+
+    The block writes a temporary file in the same directory, which replaces
+    ``path`` when the block ends without an exception, so a reader sees the
+    old file or the whole new one. Text is UTF-8 with newlines untranslated.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with (os.fdopen(fd, "wb") if binary
+              else os.fdopen(fd, "w", encoding="utf-8", newline="")) as fh:
+            yield fh
         # mkstemp creates the file 0600; give it the mode open() would have.
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
@@ -61,6 +71,11 @@ def atomic_write_text(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def header_lines(cfg_hash: str, rows: int) -> list[str]:

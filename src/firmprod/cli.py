@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 configuration error (including bad flags),
 Every command needs ``ingest``, ``measures`` and ``_emit``, imported here; the
 ``production``, ``pareto``, ``synth`` and ``equilibrium`` layers are imported
 inside the commands that run them, so no other command pays for loading them.
+The parse cache (``_parse_cache``) is imported by :func:`_load`, which only the
+commands that read an input file call.
 """
 
 from __future__ import annotations
@@ -116,8 +118,19 @@ _year_option = click.option("--year", type=int, default=None, help="Restrict to 
 
 
 def _load(input_path: str, schema_path: str | None, strict: bool) -> ParseReport:
+    """Parse the input, or load the parse the cache holds for its bytes and schema."""
+    from ._parse_cache import Entry  # only the commands that parse load the cache
+
     schema = CsvSchema.from_json(schema_path) if schema_path else CsvSchema()
-    return parse_firm_records(input_path, schema, strict=strict)
+    entry = Entry.open(input_path, schema)
+    if entry is None:
+        return parse_firm_records(input_path, schema, strict=strict)
+    report = entry.load(strict)
+    if report is None:
+        with entry.text() as text:
+            report = parse_firm_records(text, schema, strict=strict, provenance=input_path)
+        entry.store(report)
+    return report
 
 
 def _load_macro(macro_path: str | None) -> MacroContext | None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,30 @@ def test_measures_runs_only_the_layers_it_uses(tmp_path):
         "F1,2003,JP,s,manufacturing,5,1,2\nF2,2003,JP,s,manufacturing,9,4,3\n")
     ran = _run_cli(tmp_path, "measures", "--input", "firms.csv", "--out", "out")
     assert (tmp_path / "out" / "firm_productivity.csv").is_file()
-    assert {"firmprod.ingest", "firmprod.measures", "firmprod._emit"} <= set(ran)
+    assert {"firmprod.ingest", "firmprod.measures", "firmprod._emit",
+            "firmprod._parse_cache"} <= set(ran)
+    assert (tmp_path / ".firmprod-cache").is_dir()
     for layer in ("equilibrium", "synth", "pareto", "production"):
         assert f"firmprod.{layer}" not in ran
+
+
+_SPEC = {"n": 50, "log_a": 0.0, "alpha": 0.4, "beta": 0.6, "noise_sigma": 0.05,
+         "size_dist": {"kind": "lognormal", "mean_log": 3.0, "sigma_log": 1.2},
+         "capital_rule": {"coeff": 1.0, "exponent": 1.0, "sigma": 0.4}, "labor_share": 0.55,
+         "seed": 1, "year": 2003, "country": "JP", "sector_class": "manufacturing",
+         "n_sectors": 2, "currency_unit": "kUSD"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--version",),
+    ("--help",),
+    ("synth", "--spec", "spec.json", "--out", "out"),
+    ("simulate", "--scenario", "scenario.json", "--out", "out"),
+], ids=["version", "help", "synth", "simulate"])
+def test_commands_that_parse_no_input_leave_the_parse_cache_alone(tmp_path, argv):
+    (tmp_path / "spec.json").write_text(json.dumps(_SPEC))
+    shutil.copy(Path(__file__).parent / "golden" / "sim_scenario.json",
+                tmp_path / "scenario.json")
+    ran = _run_cli(tmp_path, *argv)
+    assert "firmprod._parse_cache" not in ran
+    assert not list(tmp_path.rglob(".firmprod-cache"))
