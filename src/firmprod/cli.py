@@ -492,7 +492,9 @@ def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | Adapti
         elif kind == "fixed":
             rule = FixedStep(**{k: v for k, v in rule_raw.items() if k != "kind"})
         else:
-            raise ConfigError(f"step_rule kind must be 'fixed' or 'adaptive', got {kind!r}")
+            raise ConfigError(
+                f"{path}: step_rule kind must be 'fixed' or 'adaptive', got {kind!r}"
+            )
         tol = float(raw.get("tol", 1e-8))
         if not 0 < tol < math.inf:
             raise ConfigError(f"{path}: tol must be finite and > 0, got {tol}")

@@ -9,11 +9,14 @@ relative spread of marginal productivities falls below a tolerance; the
 dispersion statistic measures how far a population (observed or simulated)
 is from that fixed point.
 
-Each simulator iteration costs a few O(n) vectorised reductions (min, max,
-the two sums written to the trace) plus a recomputation of the marginal
-product and output of the two firms that moved; the labor-independent
-factors are computed once per run. The result is bit-identical to
-recomputing every firm on every iteration.
+Each simulator iteration costs four O(n) vectorised reductions: argmin and
+argmax over the marginal products, and the sums of output and labor written
+to the trace. The marginal products are held in firm-id order (a stable
+sort), so the first of exact ties, which argmin and argmax return, is the
+firm with the lowest id, and among equal ids the earliest input. The two
+firms that moved are recomputed through one index array; the
+labor-independent factors are computed once per run. The result is
+bit-identical to recomputing every firm on every iteration.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientDataError, UnboundedDemandError, ValidationError
+from .errors import (
+    InsufficientDataError,
+    NumericalError,
+    UnboundedDemandError,
+    ValidationError,
+)
 
 #: Labor never drops below this floor during reallocation.
 DEFAULT_LABOR_FLOOR = 1e-9
@@ -59,6 +67,8 @@ class TheoryFirm:
     labor: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):  # the simulator sorts firms by id
+            raise ValidationError(f"firm {self.id!r}: id must be a string")
         if not all(map(_positive_finite, (self.scale, self.capital, self.labor))):
             raise ValidationError(
                 f"firm {self.id!r}: scale, capital and labor must be finite and > 0"
@@ -200,11 +210,6 @@ def equilibrium_dispersion(
     return DispersionStats(max_relative_spread=spread, coefficient_of_variation=cv)
 
 
-def _extreme(mp: np.ndarray, value: float, ids: Sequence[str]) -> int:
-    """Index of the firm whose marginal product equals ``value``; lowest id wins ties."""
-    return min(np.flatnonzero(mp == value).tolist(), key=ids.__getitem__)
-
-
 def _mp_at(coef: float, expo: float, labor: float) -> float:
     """coef * labor**expo on Python floats, inf on overflow as numpy gives."""
     try:
@@ -243,6 +248,8 @@ def simulate_reallocation(
                 f"firm {f.id!r}: reallocation requires beta < 1"
             )
     step_rule = step_rule or AdaptiveStep()
+    fixed_delta = step_rule.delta if isinstance(step_rule, FixedStep) else None
+    shrink = step_rule.shrink if isinstance(step_rule, AdaptiveStep) else None
 
     ids = [f.id for f in firms]
     scales = np.array([f.scale for f in firms])
@@ -259,7 +266,13 @@ def simulate_reallocation(
     out_coef = scales * capital_factor
     mp_coef = betas * scales * capital_factor
     mp_exp = betas - 1.0
-    mp = mp_coef * labors**mp_exp
+    # The marginal products are held in id order: by_id[k] is the input
+    # index of the firm at position k. The sort is stable, so among equal ids
+    # the earlier firm comes first, and argmin/argmax, which return the first
+    # of exact ties, pick the lowest id. Output and labor stay in input order
+    # because the trace sums them in that order.
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    mp = (mp_coef * labors**mp_exp)[by_id]
     outs = out_coef * labors**betas
     # The adaptive overshoot test probes one firm at a time, many times per
     # move; Python floats are much cheaper there than numpy scalars. Python's
@@ -273,54 +286,63 @@ def simulate_reallocation(
     steps: list[TraceStep] = []
 
     def record(iteration: int, mover_from: str | None, mover_to: str | None,
-               delta: float) -> tuple[float, float, float]:
-        """Trace the current state; return the lowest and highest marginal product and spread."""
-        lowest, highest = float(mp.min()), float(mp.max())
-        spread = (highest - lowest) / lowest
+               delta: float) -> tuple[int, int, float]:
+        """Trace the current state; return the id-order positions of the next
+        donor (lowest marginal product) and recipient (highest), and the spread."""
+        low, high = int(mp.argmin()), int(mp.argmax())
+        lowest = mp.item(low)
+        if not lowest > 0:  # also nan
+            raise NumericalError(
+                f"firm {ids[by_id[low]]!r}: marginal labor productivity is {lowest!r}, "
+                "so the relative spread is undefined"
+            )
+        spread = (mp.item(high) - lowest) / lowest
         steps.append(TraceStep(iteration, mover_from, mover_to, delta, spread,
-                               float(np.sum(outs)), float(labors.sum())))
-        return lowest, highest, spread
+                               float(outs.sum()), float(labors.sum())))
+        return low, high, spread
 
-    lowest, highest, spread = record(0, None, None, 0.0)
+    low, high, spread = record(0, None, None, 0.0)
     converged = spread <= tol
 
     iteration = 0
     while not converged and iteration < max_iter:
         iteration += 1
-        donor = _extreme(mp, lowest, ids)
-        recipient = _extreme(mp, highest, ids)
-
-        available = labors[donor] - labor_floor
+        donor, recipient = by_id[low], by_id[high]
+        donor_labor = labors.item(donor)
+        available = donor_labor - labor_floor
         if available <= 0:
             break  # donor pinned at the floor; no admissible move
 
-        if isinstance(step_rule, FixedStep):
-            delta = min(step_rule.delta, available)
+        if fixed_delta is not None:
+            delta = min(fixed_delta, available)
         else:
-            delta = float(available)
-            donor_labor = float(labors[donor])
-            recipient_labor = float(labors[recipient])
+            delta = available
+            recipient_labor = labors.item(recipient)
+            donor_coef, donor_expo = coef[donor], expo[donor]
+            recipient_coef, recipient_expo = coef[recipient], expo[recipient]
             for _ in range(_MAX_STEP_SHRINKS):
                 donor_left = donor_labor - delta
                 no_overshoot = donor_left > 0 and _mp_at(
-                    coef[donor], expo[donor], donor_left
-                ) <= _mp_at(coef[recipient], expo[recipient], recipient_labor + delta)
+                    donor_coef, donor_expo, donor_left
+                ) <= _mp_at(recipient_coef, recipient_expo, recipient_labor + delta)
                 if no_overshoot:
                     break
-                delta *= step_rule.shrink
+                delta *= shrink
             else:
                 delta = 0.0
-        if delta <= 0 or labors[donor] - delta <= 0:
+        if delta <= 0 or donor_labor - delta <= 0:
             break  # no admissible move, or one that would leave the donor no labor
 
         labors[donor] -= delta
         labors[recipient] += delta
 
-        pair = [donor, recipient]
+        # numpy's ** on contiguous length-2 arrays rounds as the initial,
+        # whole-array pass does; Python's ** or a scalar numpy ** need not.
+        pair = np.array((donor, recipient), dtype=np.intp)
         moved = labors[pair]
-        mp[pair] = mp_coef[pair] * moved**mp_exp[pair]
+        mp[low], mp[high] = (mp_coef[pair] * moved**mp_exp[pair]).tolist()
         outs[pair] = out_coef[pair] * moved**betas[pair]
-        lowest, highest, spread = record(iteration, ids[donor], ids[recipient], float(delta))
+        low, high, spread = record(iteration, ids[donor], ids[recipient], float(delta))
         converged = spread <= tol
 
     final_firms = tuple(

@@ -115,7 +115,7 @@ class CsvSchema:
         raw = read_json_config(path, "schema file")
         try:
             return cls(**raw)
-        except (TypeError, ValueError) as exc:  # an unknown key, or columns that are no mapping
+        except (SchemaError, TypeError, ValueError) as exc:  # a refused value or unknown key
             raise SchemaError(f"{path}: bad schema: {exc}") from exc
 
 

@@ -327,15 +327,21 @@ _SIZES = "firm 'a': scale, capital and labor must be finite and > 0"
     (None, {"tol": "1e400"}, 2, "tol must be finite and > 0, got inf"),
     (None, {"tol": _INF}, 2, "tol must be finite and > 0, got inf"),
     (None, {"labor_floor": _INF}, 2, "labor_floor must be finite and >= 0, got inf"),
+    (None, {"step_rule": {"kind": "bogus"}}, 2,
+     "step_rule kind must be 'fixed' or 'adaptive', got 'bogus'"),
+    ({"id": 5}, {}, 3, "firm 5: id must be a string"),
+    ({"scale": 5e-324, "beta": 0.3}, {}, 4,
+     "firm 'a': marginal labor productivity is 0.0, so the relative spread is undefined"),
 ], ids=["nan-scale", "nan-labor", "infinite-capital", "huge-int-labor", "nan-delta",
         "infinite-delta", "overflowing-max-iter", "negative-max-iter", "fractional-max-iter",
-        "bool-max-iter", "overflowing-tol", "infinite-tol", "infinite-labor-floor"])
+        "bool-max-iter", "overflowing-tol", "infinite-tol", "infinite-labor-floor",
+        "unknown-step-kind", "integer-id", "zero-marginal-product"])
 def test_a_non_finite_or_non_integer_scenario_value_is_refused(firm, top, code, message,
                                                                 tmp_path):
     (tmp_path / "scenario.json").write_text(_scenario_text(firm, **top))
     result = run_process(tmp_path, "simulate", "--scenario", "scenario.json", "--out", "out")
     assert result.returncode == code, result.stderr
-    kind = "config" if code == 2 else "data"
+    kind = {2: "config", 3: "data", 4: "numerical"}[code]
     prefix = f"error ({kind}): " + ("scenario.json: " if code == 2 else "")
     assert result.stderr == prefix + message + "\n"
     assert result.stdout == ""
@@ -383,7 +389,7 @@ def test_malformed_config_file_is_a_config_error(command, option, text, tmp_path
     data = [] if command == "synth" else ["--input", "firms.csv"]
     result = run_process(tmp_path, command, option, "config.json", *data, "--out", "out")
     assert result.returncode == 2, result.stderr
-    assert "error (config)" in result.stderr
+    assert result.stderr.startswith("error (config): config.json: ")
     if text.startswith('{"delimiter": "\\'):  # a quote, CR or LF
         assert "delimiter can not be a quote, CR or LF" in result.stderr
     assert "Traceback" not in result.stderr
@@ -582,8 +588,8 @@ def test_a_schema_reading_one_column_for_two_fields_is_a_config_error(command, t
     result = run_process(tmp_path, command, "--input", "firms.csv", "--schema", "schema.json",
                          "--out", "out")
     assert result.returncode == 2
-    assert result.stderr == ("error (config): column 'X' is mapped to more than one field: "
-                             "revenue, cogs\n")
+    assert result.stderr == ("error (config): schema.json: bad schema: column 'X' is mapped "
+                             "to more than one field: revenue, cogs\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -23,7 +23,12 @@ from firmprod import (
     profit,
     simulate_reallocation,
 )
-from firmprod.errors import InsufficientDataError, UnboundedDemandError, ValidationError
+from firmprod.errors import (
+    InsufficientDataError,
+    NumericalError,
+    UnboundedDemandError,
+    ValidationError,
+)
 
 
 def firm(id="f", scale=1.0, alpha=0.4, beta=0.6, capital=1.0, labor=1.0):
@@ -454,6 +459,39 @@ def test_simulator_matches_full_recompute_reference(case):
     assert [f.labor for f in trace.final_firms] == [f.labor for f in expected.final_firms]
 
 
+def _large_tied_population(seed):
+    # 40 parameter rows, each held by 4 firms, so every marginal product is
+    # shared by 4 firms and both extremes start (and keep being) exact ties.
+    # One row is planted far below the others and one far above. The ids are
+    # shuffled, so the lowest id of a tie is not its first firm in input order.
+    rng = np.random.default_rng(seed)
+    rows = [(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.2, 0.6)),
+             float(rng.uniform(0.3, 0.8)), float(rng.uniform(0.5, 20.0)),
+             float(rng.uniform(1.0, 50.0))) for _ in range(38)]
+    rows += [(0.05, 0.4, 0.6, 1.0, 40.0), (60.0, 0.4, 0.6, 20.0, 1.0)]
+    params = [row for row in rows for _ in range(4)]
+    ids = [f"f{i:03d}" for i in rng.permutation(len(params))]
+    return [TheoryFirm(id, *row) for id, row in zip(ids, params)]
+
+
+@pytest.mark.parametrize("step_rule", [AdaptiveStep(), AdaptiveStep(0.3), FixedStep(0.5)],
+                         ids=["adaptive", "adaptive-0.3", "fixed"])
+def test_large_tied_population_matches_full_recompute_reference(step_rule):
+    firms = _large_tied_population(seed=2024)
+    kwargs = dict(step_rule=step_rule, tol=1e-6, max_iter=5000, labor_floor=1e-9)
+    trace = simulate_reallocation(firms, **kwargs)
+    expected = _reference_reallocation(firms, **kwargs)
+    assert trace.steps == expected.steps
+    assert trace.converged == expected.converged == isinstance(step_rule, AdaptiveStep)
+    assert [f.labor for f in trace.final_firms] == [f.labor for f in expected.final_firms]
+    # The planted ties decide the first move: the lowest id of each group of
+    # four, which is not the group's first firm in input order.
+    low_group, high_group = firms[-8:-4], firms[-4:]
+    first = trace.steps[1]
+    assert first.mover_from == min(f.id for f in low_group) != low_group[0].id
+    assert first.mover_to == min(f.id for f in high_group) != high_group[0].id
+
+
 def test_overshoot_probe_overflow_matches_reference():
     # Near-zero labor with beta close to 0 pushes a probed marginal product
     # past the float range: numpy gives inf, Python float ** would raise.
@@ -481,7 +519,16 @@ def test_simulator_validation():
         simulate_reallocation([firm(id="a", beta=1.0), firm(id="b")])
 
 
+def test_a_zero_marginal_product_is_a_numerical_error():
+    # scale * 0.3 underflows to 0, so the spread would divide by zero.
+    firms = [firm(id="a", scale=5e-324, beta=0.3), firm(id="b")]
+    with pytest.raises(NumericalError, match="firm 'a': marginal labor productivity is 0.0"):
+        simulate_reallocation(firms)
+
+
 def test_theory_firm_validation():
+    with pytest.raises(ValidationError, match="firm 5: id must be a string"):
+        firm(id=5)
     with pytest.raises(ValidationError):
         firm(scale=0.0)
     with pytest.raises(ValidationError):
