@@ -9,10 +9,11 @@ byte-identical output files.
 Exit codes: 0 success, 2 configuration error (including bad flags),
 3 data error, 4 numerical degeneracy.
 
-Every command needs ``ingest``, ``measures`` and ``_emit``, imported here; the
+Every command needs ``ingest`` and ``_emit``, imported here; the ``measures``,
 ``production``, ``pareto``, ``synth`` and ``equilibrium`` layers are imported
-inside the commands that run them, so no other command pays for loading them.
-The parse cache (``_parse_cache``) is imported by :func:`_load`, which only the
+inside the code that runs them, so no other command pays for loading them:
+``measures`` by the helpers that evaluate records or read a macro file. The
+parse cache (``_parse_cache``) is imported by :func:`_load`, which only the
 commands that read an input file call.
 """
 
@@ -40,19 +41,20 @@ from .ingest import (
     read_json_config,
     write_firm_records,
 )
-from .measures import Evaluation, MacroContext, ValueBasis, evaluate
 
 if TYPE_CHECKING:
     from .equilibrium import AdaptiveStep, FixedStep, TheoryFirm
+    from .measures import Evaluation, MacroContext, ValueBasis
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
+#: ``--basis`` flag -> the name of its :class:`~firmprod.measures.ValueBasis` member.
 _BASIS_FLAGS = {
-    "gm": ValueBasis.GROSS_MARGIN,
-    "av-share": ValueBasis.ADDED_VALUE_LABOR_SHARE,
-    "av-components": ValueBasis.ADDED_VALUE_COMPONENTS,
+    "gm": "GROSS_MARGIN",
+    "av-share": "ADDED_VALUE_LABOR_SHARE",
+    "av-components": "ADDED_VALUE_COMPONENTS",
 }
 
 
@@ -132,18 +134,30 @@ def _load(input_path: str, schema_path: str | None, strict: bool) -> ParseReport
     return report
 
 
+def _basis(flag: str) -> ValueBasis:
+    from .measures import ValueBasis
+
+    return ValueBasis[_BASIS_FLAGS[flag]]
+
+
 def _load_macro(macro_path: str | None) -> MacroContext | None:
-    return MacroContext.from_json(macro_path) if macro_path else None
+    if not macro_path:
+        return None
+    from .measures import MacroContext
+
+    return MacroContext.from_json(macro_path)
 
 
 def _evaluate_input(input_path: str, schema_path: str | None, strict: bool,
                     macro_path: str | None, basis: str,
                     year: int | None = None) -> tuple[Evaluation, MacroContext | None]:
     """Parse the input, keep one year if asked, and evaluate each record once."""
+    from .measures import evaluate
+
     dataset = _load(input_path, schema_path, strict).dataset
     ctx = _load_macro(macro_path)
     records = dataset if year is None else filter_dataset(dataset, year=year)
-    return evaluate(records, _BASIS_FLAGS[basis], ctx), ctx
+    return evaluate(records, _basis(basis), ctx), ctx
 
 
 def _echo_excluded(ev: Evaluation) -> None:
@@ -265,9 +279,11 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
     )
 
     if ctx is not None:
+        from .measures import ValueBasis, evaluate
+
         # Coverage needs an added value: gross margin falls back to the labor-share form.
         coverage = ev
-        if _BASIS_FLAGS[basis] is ValueBasis.GROSS_MARGIN:
+        if basis == "gm":
             coverage = evaluate(ev, ValueBasis.ADDED_VALUE_LABOR_SHARE, ctx)
         coverage_rows = []
         for (country, yr), agg in sorted(coverage.pool_by(("country", "year")).items()):
@@ -302,7 +318,7 @@ def fit_production(input_path: str, schema_path: str | None, macro_path: str | N
         raise ConfigError(f"--rts-tol must be > 0, got {rts_tol}")
     report = _load(input_path, schema_path, strict)
     ctx = _load_macro(macro_path)
-    fits, failures = fit_by_stratum(report.dataset, _BASIS_FLAGS[basis], ctx,
+    fits, failures = fit_by_stratum(report.dataset, _basis(basis), ctx,
                                     pool_years=pool_years)
     cfg = config_hash({"command": "fit-production", "input": input_path,
                        "schema": schema_path, "macro": macro_path, "basis": basis,
@@ -525,8 +541,8 @@ def simulate(scenario_path: str, out_dir: str, fmt: str) -> None:
     out = Path(out_dir)
     trace_columns = ("iteration", "mover_from", "mover_to", "delta_labor", "max_spread",
                      "total_output", "total_labor")
-    write_table(out / "trace", trace_columns, Table(*_fields(trace.steps, *trace_columns)),
-                cfg, fmt)
+    write_table(out / "trace", trace_columns,
+                Table(*(getattr(trace, name) for name in trace_columns)), cfg, fmt)
     firm_columns = ("id", "scale", "alpha", "beta", "capital", "labor")
     firms_table = Table(*_fields(trace.final_firms, *firm_columns),
                         list(map(marginal_labor_productivity, trace.final_firms)))

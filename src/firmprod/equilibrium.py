@@ -16,7 +16,9 @@ sort), so the first of exact ties, which argmin and argmax return, is the
 firm with the lowest id, and among equal ids the earliest input. The two
 firms that moved are recomputed through one index array; the
 labor-independent factors are computed once per run. The result is
-bit-identical to recomputing every firm on every iteration.
+bit-identical to recomputing every firm on every iteration. The trace is
+recorded as columns, one list per field, and kept as arrays; no per-move
+object is built unless a caller reads :attr:`ReallocationTrace.steps`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -145,15 +148,35 @@ class TraceStep:
     total_labor: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReallocationTrace:
-    steps: tuple[TraceStep, ...]
+    """A simulator run: its trace as columns with one entry per step (step 0
+    is the initial state), whether it converged, and the firms it ended with.
+
+    ``iteration`` is an int64 array and the other numeric columns float64
+    arrays; the movers are ``None`` at step 0.
+    """
+
+    iteration: np.ndarray
+    mover_from: tuple[str | None, ...]
+    mover_to: tuple[str | None, ...]
+    delta_labor: np.ndarray
+    max_spread: np.ndarray
+    total_output: np.ndarray
+    total_labor: np.ndarray
     converged: bool
     final_firms: tuple[TheoryFirm, ...]
 
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        """The trace as one :class:`TraceStep` per step, built on first read."""
+        return tuple(map(TraceStep, self.iteration.tolist(), self.mover_from, self.mover_to,
+                         self.delta_labor.tolist(), self.max_spread.tolist(),
+                         self.total_output.tolist(), self.total_labor.tolist()))
+
     @property
     def iterations(self) -> int:
-        return self.steps[-1].iteration if self.steps else 0
+        return self.iteration.item(-1) if len(self.iteration) else 0
 
 
 def output(f: TheoryFirm) -> float:
@@ -283,9 +306,16 @@ def simulate_reallocation(
             zip(betas.tolist(), scales.tolist(), capitals.tolist(), alphas.tolist())]
     expo = [b - 1.0 for b in betas.tolist()]
 
-    steps: list[TraceStep] = []
+    # The trace, one list per column, one entry per step; the iteration
+    # column is the step number.
+    movers_from: list[str | None] = []
+    movers_to: list[str | None] = []
+    deltas: list[float] = []
+    spreads: list[float] = []
+    total_outputs: list[float] = []
+    total_labors: list[float] = []
 
-    def record(iteration: int, mover_from: str | None, mover_to: str | None,
+    def record(mover_from: str | None, mover_to: str | None,
                delta: float) -> tuple[int, int, float]:
         """Trace the current state; return the id-order positions of the next
         donor (lowest marginal product) and recipient (highest), and the spread."""
@@ -297,11 +327,15 @@ def simulate_reallocation(
                 "so the relative spread is undefined"
             )
         spread = (mp.item(high) - lowest) / lowest
-        steps.append(TraceStep(iteration, mover_from, mover_to, delta, spread,
-                               float(outs.sum()), float(labors.sum())))
+        movers_from.append(mover_from)
+        movers_to.append(mover_to)
+        deltas.append(delta)
+        spreads.append(spread)
+        total_outputs.append(float(outs.sum()))
+        total_labors.append(float(labors.sum()))
         return low, high, spread
 
-    low, high, spread = record(0, None, None, 0.0)
+    low, high, spread = record(None, None, 0.0)
     converged = spread <= tol
 
     iteration = 0
@@ -342,14 +376,20 @@ def simulate_reallocation(
         moved = labors[pair]
         mp[low], mp[high] = (mp_coef[pair] * moved**mp_exp[pair]).tolist()
         outs[pair] = out_coef[pair] * moved**betas[pair]
-        low, high, spread = record(iteration, ids[donor], ids[recipient], float(delta))
+        low, high, spread = record(ids[donor], ids[recipient], float(delta))
         converged = spread <= tol
 
     final_firms = tuple(
         replace(f, labor=float(labors[i])) for i, f in enumerate(firms)
     )
     return ReallocationTrace(
-        steps=tuple(steps),
+        iteration=np.arange(len(spreads), dtype=np.int64),
+        mover_from=tuple(movers_from),
+        mover_to=tuple(movers_to),
+        delta_labor=np.array(deltas, dtype=np.float64),
+        max_spread=np.array(spreads, dtype=np.float64),
+        total_output=np.array(total_outputs, dtype=np.float64),
+        total_labor=np.array(total_labors, dtype=np.float64),
         converged=converged,
         final_firms=final_firms,
     )

@@ -113,7 +113,10 @@ class MacroContext:
             raw = raw["entries"]
         if not isinstance(raw, list):
             raise ConfigError(f"{path}: macro file must be a JSON list of entries")
-        return cls.from_rows(raw)
+        try:
+            return cls.from_rows(raw)
+        except ConfigError as exc:  # a bad entry
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def entry(self, country: str, year: int) -> MacroEntry:
         try:

@@ -157,7 +157,7 @@ def _size_dist_from_json(raw: dict) -> SizeDist:
     kinds = {"pareto": ParetoSize, "lognormal": LognormalSize, "fixed": FixedSize}
     kind = raw.get("kind")
     if kind not in kinds:
-        raise ConfigError(f"size_dist kind must be one of {sorted(kinds)}, got {kind!r}")
+        raise ValidationError(f"size_dist kind must be one of {sorted(kinds)}, got {kind!r}")
     params = {k: v for k, v in raw.items() if k != "kind"}
     return kinds[kind](**params)
 

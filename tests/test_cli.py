@@ -258,6 +258,36 @@ def test_simulate_reproduces_golden_files(runner, tmp_path, monkeypatch):
             == (GOLDEN_DIR / "sim_final_firms.csv").read_bytes())
 
 
+def test_simulate_reproduces_golden_json_files(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(GOLDEN_DIR / "sim_scenario.json", "scenario.json")
+    run_ok(runner, ["simulate", "--scenario", "scenario.json", "--out", "out",
+                    "--format", "json"])
+    assert Path("out/trace.json").read_bytes() == (GOLDEN_DIR / "sim_trace.json").read_bytes()
+    assert (Path("out/final_firms.json").read_bytes()
+            == (GOLDEN_DIR / "sim_final_firms.json").read_bytes())
+
+
+def test_simulate_hands_the_trace_to_the_writer_as_arrays(runner, tmp_path, monkeypatch):
+    tables = {}
+    write_table = cli.write_table
+
+    def recording(path, names, table, *args):
+        tables[Path(path).name] = (names, table)
+        return write_table(path, names, table, *args)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "write_table", recording)
+    shutil.copy(GOLDEN_DIR / "sim_scenario.json", "scenario.json")
+    run_ok(runner, ["simulate", "--scenario", "scenario.json", "--out", "out"])
+    names, table = tables["trace"]
+    dtypes = {name: column.dtype for name, column in zip(names, table.columns)
+              if isinstance(column, np.ndarray)}
+    assert dtypes == {"iteration": np.int64, "delta_labor": np.float64,
+                      "max_spread": np.float64, "total_output": np.float64,
+                      "total_labor": np.float64}
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_emitted_files_follow_umask(runner, tmp_path, monkeypatch, umask, mode):
     monkeypatch.chdir(tmp_path)
@@ -603,6 +633,24 @@ def test_an_overflowing_synth_spec_prints_only_its_error_line(spec, reason, tmp_
     result = run_process(tmp_path, "synth", "--spec", "spec.json", "--out", "out")
     assert result.returncode == 2
     assert result.stderr == f"error (config): spec.json: bad synth spec: {reason}\n"
+
+
+@pytest.mark.parametrize("argv, name, config, message", [
+    (("synth", "--spec", "spec.json"), "spec.json", {"n": 5, "size_dist": {"kind": "bogus"}},
+     "spec.json: bad synth spec: size_dist kind must be one of "
+     "['fixed', 'lognormal', 'pareto'], got 'bogus'"),
+    (("measures", "--input", "firms.csv", "--macro", "macro.json"), "macro.json",
+     [{"country": "JP", "year": 2003}],
+     "macro.json: bad macro entry {'country': 'JP', 'year': 2003}: 'labor_share'"),
+], ids=["synth-size-dist-kind", "macro-entry"])
+def test_a_bad_config_entry_names_its_file(argv, name, config, message, tmp_path):
+    (tmp_path / name).write_text(json.dumps(config))
+    (tmp_path / "firms.csv").write_text(
+        "firm_id,year,country,sector,sector_class,revenue,cogs,workers\n"
+        "F1,2003,JP,s,manufacturing,5,1,2\n")
+    result = run_process(tmp_path, *argv, "--out", "out")
+    assert result.returncode == 2
+    assert result.stderr == f"error (config): {message}\n"
 
 
 def test_no_command_builds_a_record_object(runner, monkeypatch):

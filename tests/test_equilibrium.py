@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from firmprod import (
     AdaptiveStep,
     FixedStep,
     MarketContext,
-    ReallocationTrace,
     TheoryFirm,
     TraceStep,
     equilibrium_dispersion,
@@ -352,7 +350,8 @@ def _reference_reallocation(firms, *, step_rule, tol, max_iter, labor_floor):
     # The simulator as first written: every marginal product and the total
     # output recomputed from scratch each iteration, donor and recipient
     # found by a Python scan over (mp, id) keys, and the overshoot test on
-    # numpy scalars.
+    # numpy scalars. Returns the trace steps, the converged flag and the
+    # final labors.
     ids = [f.id for f in firms]
     scales = np.array([f.scale for f in firms])
     alphas = np.array([f.alpha for f in firms])
@@ -410,8 +409,7 @@ def _reference_reallocation(firms, *, step_rule, tol, max_iter, labor_floor):
         steps.append(TraceStep(iteration, ids[donor], ids[recipient], float(delta), spread,
                                total_output(labors), float(labors.sum())))
         converged = spread <= tol
-    final = tuple(replace(f, labor=float(labors[i])) for i, f in enumerate(firms))
-    return ReallocationTrace(steps=tuple(steps), converged=converged, final_firms=final)
+    return tuple(steps), converged, [float(labor) for labor in labors]
 
 
 _firm_params = st.tuples(
@@ -453,10 +451,10 @@ def test_simulator_matches_full_recompute_reference(case):
     firms, step_rule, tol, floor = case
     kwargs = dict(step_rule=step_rule, tol=tol, max_iter=300, labor_floor=floor)
     trace = simulate_reallocation(firms, **kwargs)
-    expected = _reference_reallocation(firms, **kwargs)
-    assert trace.steps == expected.steps
-    assert trace.converged == expected.converged
-    assert [f.labor for f in trace.final_firms] == [f.labor for f in expected.final_firms]
+    steps, converged, labors = _reference_reallocation(firms, **kwargs)
+    assert trace.steps == steps
+    assert trace.converged == converged
+    assert [f.labor for f in trace.final_firms] == labors
 
 
 def _large_tied_population(seed):
@@ -480,10 +478,10 @@ def test_large_tied_population_matches_full_recompute_reference(step_rule):
     firms = _large_tied_population(seed=2024)
     kwargs = dict(step_rule=step_rule, tol=1e-6, max_iter=5000, labor_floor=1e-9)
     trace = simulate_reallocation(firms, **kwargs)
-    expected = _reference_reallocation(firms, **kwargs)
-    assert trace.steps == expected.steps
-    assert trace.converged == expected.converged == isinstance(step_rule, AdaptiveStep)
-    assert [f.labor for f in trace.final_firms] == [f.labor for f in expected.final_firms]
+    steps, converged, labors = _reference_reallocation(firms, **kwargs)
+    assert trace.steps == steps
+    assert trace.converged == converged == isinstance(step_rule, AdaptiveStep)
+    assert [f.labor for f in trace.final_firms] == labors
     # The planted ties decide the first move: the lowest id of each group of
     # four, which is not the group's first firm in input order.
     low_group, high_group = firms[-8:-4], firms[-4:]
@@ -502,10 +500,29 @@ def test_overshoot_probe_overflow_matches_reference():
     kwargs = dict(step_rule=AdaptiveStep(), tol=1e-8, max_iter=50, labor_floor=1e-316)
     trace = simulate_reallocation(firms, **kwargs)
     with np.errstate(over="ignore"):
-        expected = _reference_reallocation(firms, **kwargs)
+        steps, _, labors = _reference_reallocation(firms, **kwargs)
     assert trace.converged
-    assert trace.steps == expected.steps
-    assert [f.labor for f in trace.final_firms] == [f.labor for f in expected.final_firms]
+    assert trace.steps == steps
+    assert [f.labor for f in trace.final_firms] == labors
+
+
+def test_trace_steps_are_python_values_equal_to_the_columns():
+    trace = simulate_reallocation(random_firms(12, seed=5), max_iter=200)
+    floats = ("delta_labor", "max_spread", "total_output", "total_labor")
+    assert trace.iteration.dtype == np.int64
+    assert all(getattr(trace, name).dtype == np.float64 for name in floats)
+    assert trace.mover_from[0] is trace.mover_to[0] is None
+    assert len(trace.steps) == len(trace.iteration) > 1
+    assert trace.steps is trace.steps  # built once, on first read
+    for i, step in enumerate(trace.steps):
+        assert type(step.iteration) is int
+        assert step.iteration == trace.iteration[i] == i
+        assert (step.mover_from, step.mover_to) == (trace.mover_from[i], trace.mover_to[i])
+        for name in floats:
+            assert type(getattr(step, name)) is float
+            assert getattr(step, name) == getattr(trace, name)[i]
+    assert type(trace.iterations) is int
+    assert trace.iterations == trace.steps[-1].iteration
 
 
 def test_simulator_validation():

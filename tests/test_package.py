@@ -137,3 +137,23 @@ def test_commands_that_parse_no_input_leave_the_parse_cache_alone(tmp_path, argv
     ran = _run_cli(tmp_path, *argv)
     assert "firmprod._parse_cache" not in ran
     assert not list(tmp_path.rglob(".firmprod-cache"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--version",),
+    ("--help",),
+    ("synth", "--spec", "spec.json", "--out", "out"),
+    ("ingest", "--input", "firms.csv", "--out", "out"),
+    ("simulate", "--scenario", "scenario.json", "--out", "out"),
+], ids=["version", "help", "synth", "ingest", "simulate"])
+def test_commands_that_evaluate_nothing_leave_the_measures_layer_alone(tmp_path, argv):
+    # test_measures_runs_only_the_layers_it_uses is the control: measures does run it.
+    (tmp_path / "spec.json").write_text(json.dumps(_SPEC))
+    (tmp_path / "firms.csv").write_text(
+        "firm_id,year,country,sector,sector_class,revenue,cogs,workers\n"
+        "F1,2003,JP,s,manufacturing,5,1,2\n")
+    shutil.copy(Path(__file__).parent / "golden" / "sim_scenario.json",
+                tmp_path / "scenario.json")
+    ran = _run_cli(tmp_path, *argv)
+    assert "firmprod.ingest" in ran
+    assert "firmprod.measures" not in ran
