@@ -66,7 +66,7 @@ def _register_lazily(name: str) -> None:
 
 
 # Every module but ``cli``, which ``python -m firmprod.cli`` runs as ``__main__``.
-for _name in ("_emit", "errors", *_EXPORTS):
+for _name in ("_emit", "_parse_cache", "errors", *_EXPORTS):
     _register_lazily(_name)
 del _name
 

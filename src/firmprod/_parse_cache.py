@@ -166,11 +166,11 @@ class Entry:
         strict parse raises: the one for the first row it skipped.
         """
         try:
-            stored = np.load(self.path, allow_pickle=False)
-            if not isinstance(stored, np.lib.npyio.NpzFile):
-                return None
-            with stored:
-                if sorted(stored.files) != sorted(_LAYOUT):
+            # Opened here, not by np.load, which leaks the file if the zip is damaged.
+            with open(self.path, "rb") as fh:
+                stored = np.load(fh, allow_pickle=False)
+                if (not isinstance(stored, np.lib.npyio.NpzFile)
+                        or sorted(stored.files) != sorted(_LAYOUT)):
                     return None
                 arrays = {name: stored[name] for name in _LAYOUT}
             report = self._rebuild(arrays)

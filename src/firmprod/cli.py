@@ -6,15 +6,12 @@ functions and power-law tails, run the reallocation simulator, and emit
 plot-ready CSV/JSON. Identical configuration and inputs produce
 byte-identical output files.
 
-Exit codes: 0 success, 2 configuration error (including bad flags),
-3 data error, 4 numerical degeneracy.
+Exit codes: 0 success, 2 configuration error (including bad flags and
+output paths that cannot be written), 3 data error, 4 numerical degeneracy.
 
-Every command needs ``ingest`` and ``_emit``, imported here; the ``measures``,
-``production``, ``pareto``, ``synth`` and ``equilibrium`` layers are imported
-inside the code that runs them, so no other command pays for loading them:
-``measures`` by the helpers that evaluate records or read a macro file. The
-parse cache (``_parse_cache``) is imported by :func:`_load`, which only the
-commands that read an input file call.
+The layers are bound by module name below. ``import firmprod`` registers each
+one lazily, so a layer's body runs on its first attribute access and a
+command loads only the layers it calls.
 """
 
 from __future__ import annotations
@@ -25,12 +22,11 @@ from contextlib import suppress
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, _parse_cache, equilibrium, measures, pareto, production, synth
 from ._emit import BlankableFloats, Table, atomic_open, config_hash, header_lines, write_table
 from .errors import ConfigError, DataError, NumericalError, ValidationError
 from .ingest import (
@@ -41,10 +37,6 @@ from .ingest import (
     read_json_config,
     write_firm_records,
 )
-
-if TYPE_CHECKING:
-    from .equilibrium import AdaptiveStep, FixedStep, TheoryFirm
-    from .measures import Evaluation, MacroContext, ValueBasis
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -73,6 +65,11 @@ class _Cli(click.Group):
         except NumericalError as exc:
             click.echo(f"error (numerical): {exc}", err=True)
             ctx.exit(EXIT_NUMERICAL)
+        except BrokenPipeError:  # a closed stdout: click exits 1 quietly
+            raise
+        except OSError as exc:  # e.g. an --out path through a file, or onto a directory
+            click.echo(f"error (config): {exc}", err=True)
+            ctx.exit(EXIT_CONFIG)
 
 
 @click.group(cls=_Cli)
@@ -120,10 +117,8 @@ _year_option = click.option("--year", type=int, default=None, help="Restrict to 
 
 def _load(input_path: str, schema_path: str | None, strict: bool) -> ParseReport:
     """Parse the input, or load the parse the cache holds for its bytes and schema."""
-    from ._parse_cache import Entry  # only the commands that parse load the cache
-
     schema = CsvSchema.from_json(schema_path) if schema_path else CsvSchema()
-    entry = Entry.open(input_path, schema)
+    entry = _parse_cache.Entry.open(input_path, schema)
     if entry is None:
         return parse_firm_records(input_path, schema, strict=strict)
     report = entry.load(strict)
@@ -134,33 +129,26 @@ def _load(input_path: str, schema_path: str | None, strict: bool) -> ParseReport
     return report
 
 
-def _basis(flag: str) -> ValueBasis:
-    from .measures import ValueBasis
-
-    return ValueBasis[_BASIS_FLAGS[flag]]
+def _basis(flag: str) -> measures.ValueBasis:
+    return measures.ValueBasis[_BASIS_FLAGS[flag]]
 
 
-def _load_macro(macro_path: str | None) -> MacroContext | None:
-    if not macro_path:
-        return None
-    from .measures import MacroContext
-
-    return MacroContext.from_json(macro_path)
+def _load_macro(macro_path: str | None) -> measures.MacroContext | None:
+    return measures.MacroContext.from_json(macro_path) if macro_path else None
 
 
 def _evaluate_input(input_path: str, schema_path: str | None, strict: bool,
                     macro_path: str | None, basis: str,
-                    year: int | None = None) -> tuple[Evaluation, MacroContext | None]:
+                    year: int | None = None
+                    ) -> tuple[measures.Evaluation, measures.MacroContext | None]:
     """Parse the input, keep one year if asked, and evaluate each record once."""
-    from .measures import evaluate
-
     dataset = _load(input_path, schema_path, strict).dataset
     ctx = _load_macro(macro_path)
     records = dataset if year is None else filter_dataset(dataset, year=year)
-    return evaluate(records, _basis(basis), ctx), ctx
+    return measures.evaluate(records, _basis(basis), ctx), ctx
 
 
-def _echo_excluded(ev: Evaluation) -> None:
+def _echo_excluded(ev: measures.Evaluation) -> None:
     if ev.excluded:
         click.echo(f"excluded {ev.excluded} records the basis could not evaluate", err=True)
 
@@ -185,20 +173,22 @@ def _transpose(rows: Iterable[tuple], width: int) -> list[list[object]]:
     return [[row[i] for row in rows] for i in range(width)]
 
 
-@main.command()
+def _tail(tail_text: str | None, level: str) -> pareto.TailSpec:
+    return pareto.TailSpec.parse(tail_text) if tail_text else pareto.default_tail(level)
+
+
+@main.command("synth")
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="JSON synthetic-population spec.")
 @click.option("--seed", type=int, default=None, help="Override the spec's seed.")
 @_out_option
-def synth(spec_path: str, seed: int | None, out_dir: str) -> None:
+def synth_cmd(spec_path: str, seed: int | None, out_dir: str) -> None:
     """Generate a synthetic firm dataset (written in the ingest CSV schema)."""
-    from .synth import SynthSpec, gen_cobb_douglas_firms
-
-    spec = SynthSpec.from_json(spec_path)
+    spec = synth.SynthSpec.from_json(spec_path)
     if seed is not None:
         spec = replace(spec, seed=seed)
     try:
-        dataset = gen_cobb_douglas_firms(spec)
+        dataset = synth.gen_cobb_douglas_firms(spec)
     except ValidationError as exc:  # the spec alone decides every generated value
         raise ConfigError(f"{spec_path}: bad synth spec: {exc}") from exc
     cfg = config_hash({"command": "synth", "spec": spec_path, "seed": spec.seed})
@@ -236,7 +226,7 @@ def ingest(input_path: str, schema_path: str | None, strict: bool, out_dir: str,
     click.echo(f"parsed {len(dataset)} records ({report.n_skipped} skipped); wrote {target}")
 
 
-@main.command()
+@main.command("measures")
 @_input_option
 @_schema_option
 @_macro_option
@@ -246,8 +236,9 @@ def ingest(input_path: str, schema_path: str | None, strict: bool, out_dir: str,
 @_strict_option
 @_out_option
 @_format_option
-def measures(input_path: str, schema_path: str | None, macro_path: str | None, basis: str,
-             year: int | None, mode: str, strict: bool, out_dir: str, fmt: str) -> None:
+def measures_cmd(input_path: str, schema_path: str | None, macro_path: str | None,
+                 basis: str, year: int | None, mode: str, strict: bool, out_dir: str,
+                 fmt: str) -> None:
     """Per-firm and per-sector productivity tables plus GDP coverage."""
     ev, ctx = _evaluate_input(input_path, schema_path, strict, macro_path, basis, year)
     cfg = config_hash({"command": "measures", "input": input_path, "schema": schema_path,
@@ -279,12 +270,10 @@ def measures(input_path: str, schema_path: str | None, macro_path: str | None, b
     )
 
     if ctx is not None:
-        from .measures import ValueBasis, evaluate
-
         # Coverage needs an added value: gross margin falls back to the labor-share form.
         coverage = ev
         if basis == "gm":
-            coverage = evaluate(ev, ValueBasis.ADDED_VALUE_LABOR_SHARE, ctx)
+            coverage = measures.evaluate(ev, measures.ValueBasis.ADDED_VALUE_LABOR_SHARE, ctx)
         coverage_rows = []
         for (country, yr), agg in sorted(coverage.pool_by(("country", "year")).items()):
             with suppress(DataError):  # a cell without GDP is left out
@@ -312,18 +301,16 @@ def fit_production(input_path: str, schema_path: str | None, macro_path: str | N
                    basis: str, pool_years: bool, rts_tol: float, strict: bool,
                    out_dir: str, fmt: str) -> None:
     """Cobb-Douglas fits per (country, sector_class, year) stratum."""
-    from .production import classify_returns, fit_by_stratum
-
     if not rts_tol > 0:  # also refuses nan
         raise ConfigError(f"--rts-tol must be > 0, got {rts_tol}")
     report = _load(input_path, schema_path, strict)
     ctx = _load_macro(macro_path)
-    fits, failures = fit_by_stratum(report.dataset, _basis(basis), ctx,
-                                    pool_years=pool_years)
+    fits, failures = production.fit_by_stratum(report.dataset, _basis(basis), ctx,
+                                               pool_years=pool_years)
     cfg = config_hash({"command": "fit-production", "input": input_path,
                        "schema": schema_path, "macro": macro_path, "basis": basis,
                        "pool_years": pool_years, "rts_tol": rts_tol})
-    regimes = [classify_returns(fit, rts_tol) for fit in fits.values()]
+    regimes = [production.classify_returns(fit, rts_tol) for fit in fits.values()]
     table = Table(
         *_transpose(fits, 3),
         *_fields(fits.values(), "log_a", "alpha", "beta", "se_log_a", "se_alpha", "se_beta",
@@ -361,12 +348,10 @@ def fit_pareto_cmd(input_path: str, schema_path: str | None, macro_path: str | N
                    basis: str, level: str, tail_text: str | None, year: int | None,
                    strict: bool, out_dir: str, fmt: str) -> None:
     """Rank-size series and power-law tail fit of productivity."""
-    from .pareto import TailSpec, default_tail, fit_pareto, level_values, rank_size
-
     ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis, year)
-    tail = TailSpec.parse(tail_text) if tail_text else default_tail(level)
-    series = rank_size(level_values(ev, level))
-    fit = fit_pareto(series, tail)
+    tail = _tail(tail_text, level)
+    series = pareto.rank_size(pareto.level_values(ev, level))
+    fit = pareto.fit_pareto(series, tail)
 
     cfg = config_hash({"command": "fit-pareto", "input": input_path, "schema": schema_path,
                        "macro": macro_path, "basis": basis, "level": level,
@@ -405,12 +390,10 @@ def pareto_series(input_path: str, schema_path: str | None, macro_path: str | No
                   basis: str, level: str, tail_text: str | None, strict: bool,
                   out_dir: str, fmt: str) -> None:
     """Tail-exponent fit per year."""
-    from .pareto import TailSpec, default_tail, fit_years, level_values
-
     ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
-    tail = TailSpec.parse(tail_text) if tail_text else default_tail(level)
+    tail = _tail(tail_text, level)
     per_year = ev.split("year")
-    fits = fit_years(per_year, lambda part: level_values(part, level), tail)
+    fits = pareto.fit_years(per_year, lambda part: pareto.level_values(part, level), tail)
 
     cfg = config_hash({"command": "pareto-series", "input": input_path,
                        "schema": schema_path, "macro": macro_path, "basis": basis,
@@ -490,23 +473,21 @@ def size_sweep_cmd(input_path: str, schema_path: str | None, macro_path: str | N
     click.echo(f"wrote {len(table)} sweep points to {target}")
 
 
-def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | AdaptiveStep,
-                                            float, int, float]:
-    from .equilibrium import AdaptiveStep, FixedStep, TheoryFirm
-
+def _scenario_from_json(path: str) -> tuple[list[equilibrium.TheoryFirm],
+                                            equilibrium.StepRule, float, int, float]:
     raw = read_json_config(path, "scenario")
     if "firms" not in raw:
         raise ConfigError(f"{path}: scenario must have a 'firms' list")
     try:
-        firms = [TheoryFirm(**entry) for entry in raw["firms"]]
+        firms = [equilibrium.TheoryFirm(**entry) for entry in raw["firms"]]
         rule_raw = raw.get("step_rule", {"kind": "adaptive"})
         if not isinstance(rule_raw, dict):
             raise ConfigError(f"{path}: step_rule must be a JSON object, got {rule_raw!r}")
         kind = rule_raw.get("kind", "adaptive")
         if kind == "adaptive":
-            rule = AdaptiveStep(**{k: v for k, v in rule_raw.items() if k != "kind"})
+            rule = equilibrium.AdaptiveStep(**{k: v for k, v in rule_raw.items() if k != "kind"})
         elif kind == "fixed":
-            rule = FixedStep(**{k: v for k, v in rule_raw.items() if k != "kind"})
+            rule = equilibrium.FixedStep(**{k: v for k, v in rule_raw.items() if k != "kind"})
         else:
             raise ConfigError(
                 f"{path}: step_rule kind must be 'fixed' or 'adaptive', got {kind!r}"
@@ -532,11 +513,9 @@ def _scenario_from_json(path: str) -> tuple[list[TheoryFirm], FixedStep | Adapti
 @_format_option
 def simulate(scenario_path: str, out_dir: str, fmt: str) -> None:
     """Run the labor-reallocation simulator and emit its trace."""
-    from .equilibrium import marginal_labor_productivity, simulate_reallocation
-
     firms, rule, tol, max_iter, floor = _scenario_from_json(scenario_path)
-    trace = simulate_reallocation(firms, step_rule=rule, tol=tol, max_iter=max_iter,
-                                  labor_floor=floor)
+    trace = equilibrium.simulate_reallocation(firms, step_rule=rule, tol=tol,
+                                              max_iter=max_iter, labor_floor=floor)
     cfg = config_hash({"command": "simulate", "scenario": scenario_path})
     out = Path(out_dir)
     trace_columns = ("iteration", "mover_from", "mover_to", "delta_labor", "max_spread",
@@ -545,7 +524,7 @@ def simulate(scenario_path: str, out_dir: str, fmt: str) -> None:
                 Table(*(getattr(trace, name) for name in trace_columns)), cfg, fmt)
     firm_columns = ("id", "scale", "alpha", "beta", "capital", "labor")
     firms_table = Table(*_fields(trace.final_firms, *firm_columns),
-                        list(map(marginal_labor_productivity, trace.final_firms)))
+                        list(map(equilibrium.marginal_labor_productivity, trace.final_firms)))
     target = write_table(out / "final_firms", (*firm_columns, "marginal_productivity"),
                          firms_table, cfg, fmt)
     status = "converged" if trace.converged else "did not converge"

@@ -435,6 +435,35 @@ def test_nonpositive_rts_tol_is_a_config_error(tol, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("out", ["afile/sub", "out"],
+                         ids=["file-in-the-directory-path", "directory-at-the-table-path"])
+def test_an_output_path_that_cannot_be_written_is_a_config_error(out, tmp_path):
+    (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "out" / "summary.csv").mkdir(parents=True)
+    result = run_process(tmp_path, "ingest", "--input", "firms.csv", "--out", out)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error (config): ")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_closed_stdout_is_not_an_output_path_error(tmp_path):
+    # click exits 1 without a message when stdout is a pipe its reader closed.
+    (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "firmprod.cli", "ingest", "--input", "firms.csv", "--out", "out"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the command's closing line is written
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+    assert (tmp_path / "out" / "summary.csv").is_file()
+
+
 @pytest.mark.parametrize("entry", [
     {"labor_share": float("nan"), "gdp": 1e6},
     {"labor_share": 0.5, "gdp": float("inf")},

@@ -17,8 +17,8 @@ import firmprod
 SRC = Path(firmprod.__file__).parents[1]
 
 #: The modules ``import firmprod`` registers without running them.
-LAZY_MODULES = ("_emit", "errors", "equilibrium", "ingest", "measures", "pareto",
-                "production", "records", "synth")
+LAZY_MODULES = ("_emit", "_parse_cache", "errors", "equilibrium", "ingest", "measures",
+                "pareto", "production", "records", "synth")
 
 
 def test_every_exported_name_is_what_its_defining_module_binds():
@@ -97,26 +97,6 @@ def test_the_lazy_registration_covers_every_module_but_the_cli(tmp_path):
     assert loaded == {f"firmprod.{name}" for name in LAZY_MODULES}
 
 
-def test_help_runs_neither_the_simulator_nor_the_generator(tmp_path):
-    ran = _run_cli(tmp_path, "--help")
-    assert "firmprod.equilibrium" not in ran
-    assert "firmprod.synth" not in ran
-    assert "firmprod.ingest" in ran  # the control: a module the CLI imports did run
-
-
-def test_measures_runs_only_the_layers_it_uses(tmp_path):
-    (tmp_path / "firms.csv").write_text(
-        "firm_id,year,country,sector,sector_class,revenue,cogs,workers\n"
-        "F1,2003,JP,s,manufacturing,5,1,2\nF2,2003,JP,s,manufacturing,9,4,3\n")
-    ran = _run_cli(tmp_path, "measures", "--input", "firms.csv", "--out", "out")
-    assert (tmp_path / "out" / "firm_productivity.csv").is_file()
-    assert {"firmprod.ingest", "firmprod.measures", "firmprod._emit",
-            "firmprod._parse_cache"} <= set(ran)
-    assert (tmp_path / ".firmprod-cache").is_dir()
-    for layer in ("equilibrium", "synth", "pareto", "production"):
-        assert f"firmprod.{layer}" not in ran
-
-
 _SPEC = {"n": 50, "log_a": 0.0, "alpha": 0.4, "beta": 0.6, "noise_sigma": 0.05,
          "size_dist": {"kind": "lognormal", "mean_log": 3.0, "sigma_log": 1.2},
          "capital_rule": {"coeff": 1.0, "exponent": 1.0, "sigma": 0.4}, "labor_share": 0.55,
@@ -124,36 +104,38 @@ _SPEC = {"n": 50, "log_a": 0.0, "alpha": 0.4, "beta": 0.6, "noise_sigma": 0.05,
          "n_sectors": 2, "currency_unit": "kUSD"}
 
 
-@pytest.mark.parametrize("argv", [
-    ("--version",),
-    ("--help",),
-    ("synth", "--spec", "spec.json", "--out", "out"),
-    ("simulate", "--scenario", "scenario.json", "--out", "out"),
-], ids=["version", "help", "synth", "simulate"])
-def test_commands_that_parse_no_input_leave_the_parse_cache_alone(tmp_path, argv):
-    (tmp_path / "spec.json").write_text(json.dumps(_SPEC))
-    shutil.copy(Path(__file__).parent / "golden" / "sim_scenario.json",
-                tmp_path / "scenario.json")
-    ran = _run_cli(tmp_path, *argv)
-    assert "firmprod._parse_cache" not in ran
-    assert not list(tmp_path.rglob(".firmprod-cache"))
+#: The layers every command runs: ``ingest``, and what it imports.
+_BASE = ("_emit", "errors", "ingest", "records")
+_READS = ("_parse_cache",)  # the commands that read --input
+_EVALUATES = (*_READS, "measures")
+
+#: Each command, and the layers it runs besides :data:`_BASE` (README's table).
+_COMMAND_LAYERS = [
+    (("--version",), ()),
+    (("--help",), ()),
+    (("synth", "--spec", "spec.json", "--out", "out"), ("synth",)),
+    (("ingest", "--input", "firms.csv", "--out", "out"), _READS),
+    (("measures", "--input", "firms.csv", "--out", "out"), _EVALUATES),
+    (("prod-series", "--input", "firms.csv", "--out", "out"), _EVALUATES),
+    (("size-sweep", "--input", "firms.csv", "--thresholds", "0,10", "--out", "out"),
+     _EVALUATES),
+    (("fit-production", "--input", "firms.csv", "--out", "out"),
+     (*_EVALUATES, "production")),
+    (("fit-pareto", "--input", "firms.csv", "--out", "out"), (*_EVALUATES, "pareto")),
+    (("pareto-series", "--input", "firms.csv", "--out", "out"), (*_EVALUATES, "pareto")),
+    (("simulate", "--scenario", "scenario.json", "--out", "out"), ("equilibrium",)),
+]
 
 
-@pytest.mark.parametrize("argv", [
-    ("--version",),
-    ("--help",),
-    ("synth", "--spec", "spec.json", "--out", "out"),
-    ("ingest", "--input", "firms.csv", "--out", "out"),
-    ("simulate", "--scenario", "scenario.json", "--out", "out"),
-], ids=["version", "help", "synth", "ingest", "simulate"])
-def test_commands_that_evaluate_nothing_leave_the_measures_layer_alone(tmp_path, argv):
-    # test_measures_runs_only_the_layers_it_uses is the control: measures does run it.
+@pytest.mark.parametrize("argv, layers", _COMMAND_LAYERS,
+                         ids=[argv[0].lstrip("-") for argv, _ in _COMMAND_LAYERS])
+def test_each_command_runs_exactly_the_layers_of_the_readme_table(tmp_path, argv, layers):
     (tmp_path / "spec.json").write_text(json.dumps(_SPEC))
-    (tmp_path / "firms.csv").write_text(
-        "firm_id,year,country,sector,sector_class,revenue,cogs,workers\n"
-        "F1,2003,JP,s,manufacturing,5,1,2\n")
-    shutil.copy(Path(__file__).parent / "golden" / "sim_scenario.json",
-                tmp_path / "scenario.json")
+    golden = Path(__file__).parent / "golden"
+    shutil.copy(golden / "firms.csv", tmp_path / "firms.csv")
+    shutil.copy(golden / "sim_scenario.json", tmp_path / "scenario.json")
     ran = _run_cli(tmp_path, *argv)
-    assert "firmprod.ingest" in ran
-    assert "firmprod.measures" not in ran
+    assert set(ran) == {f"firmprod.{name}" for name in (*_BASE, *layers)}
+    # Only the commands that read --input keep a parse cache beside it.
+    caches = list(tmp_path.rglob(".firmprod-cache"))
+    assert caches == ([tmp_path / ".firmprod-cache"] if "_parse_cache" in layers else [])
