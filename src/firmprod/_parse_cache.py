@@ -1,5 +1,8 @@
 """Content-keyed cache of parsed input files, used by the CLI's parsing commands.
 
+:func:`parse` is the one entry point: it gives the parse of an input file,
+stored or fresh.
+
 The parse of a regular file is stored in a ``.firmprod-cache/`` directory
 beside the file (beside the file a symlink points to), one ``.npz`` file per
 input name and parse settings. Its key covers the sha256 of the input bytes,
@@ -8,7 +11,7 @@ of the source of each module that decides a parse or its stored form, the
 Python version and :data:`FORMAT`. A command whose key matches the stored
 one rebuilds the :class:`~firmprod.ingest.ParseReport` from the stored
 columns instead of parsing; on any other outcome it parses and replaces the
-file. The parse reads the file through a reader that hashes what it reads,
+file. The parse reads the file's bytes through a reader that hashes them,
 and is stored only if those bytes are the bytes of the key. Deleting the
 directory is always safe.
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from ._emit import atomic_open
 from .errors import RowError
-from .ingest import CsvSchema, ParseReport, RowIssue
+from .ingest import CsvSchema, ParseReport, RowIssue, parse_firm_records
 from .records import KEY_FIELDS, MONEY_FIELDS, OPTIONAL_FIELDS, Columns, Dataset
 
 #: Names the stored layout; part of every key.
@@ -95,10 +98,11 @@ def _decode(buffer: np.ndarray, offsets: np.ndarray) -> list[str] | None:
 
 
 class _HashingReader(io.RawIOBase):
-    """Reads a file's bytes and feeds each one read to a sha256."""
+    """Reads a file's bytes and feeds each one read to a sha256; named by its path."""
 
     def __init__(self, path: str):
         self._file = open(path, "rb", buffering=0)
+        self.name = path
         self.sha256 = hashlib.sha256()
 
     def readable(self) -> bool:
@@ -115,76 +119,62 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-class Entry:
-    """The cache file of one input file under one schema, and the key it must hold."""
+def parse(input_path: str, schema: CsvSchema, strict: bool) -> ParseReport | None:
+    """The parse of ``input_path`` under ``schema``, stored or fresh; None for an
+    input that is not a readable regular file, which the caller parses itself.
 
-    def __init__(self, input_path: str, digest: str, path: Path, key: str,
-                 schema: CsvSchema):
-        self.input_path = input_path
-        self.digest = digest
-        self.path = path
-        self.key = key
-        self.schema = schema
-        self._reader: _HashingReader | None = None
-
-    @classmethod
-    def open(cls, input_path: str, schema: CsvSchema) -> Entry | None:
-        """The entry of ``input_path``; None unless it is a readable regular
-        file, which is then parsed from its path as before."""
-        try:
-            if not stat.S_ISREG(os.stat(input_path).st_mode):  # before open(): a FIFO blocks
-                return None
-            with _HashingReader(input_path) as reader:
-                while reader.read(1 << 20):
-                    pass
-            digest = reader.sha256.hexdigest()
-            here = Path(__file__).parent
-            sources = {name: _sha256((here / name).read_bytes()) for name in _SOURCES}
-        except OSError:
+    With ``strict``, a stored skipped row raises the :class:`RowError` that a
+    strict parse raises: the one for the first row it skipped.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(input_path).st_mode):  # before open(): a FIFO blocks
             return None
-        settings = {"columns": sorted(schema.columns.items()), "delimiter": schema.delimiter,
-                    "year_range": list(schema.year_range)}
-        key = _sha256(json.dumps(
-            {"format": FORMAT, "input": digest, "settings": settings, "sources": sources,
-             "python": sys.version},
-            sort_keys=True).encode("utf-8"))
-        real = Path(os.path.realpath(input_path))
-        name = f"{real.name}.{_sha256(json.dumps(settings).encode('utf-8'))[:16]}.npz"
-        return cls(input_path, digest, real.parent / DIRECTORY / name, key, schema)
+        with _HashingReader(input_path) as reader:
+            while reader.read(1 << 20):
+                pass
+        here = Path(__file__).parent
+        sources = {name: _sha256((here / name).read_bytes()) for name in _SOURCES}
+    except OSError:
+        return None
+    digest = reader.sha256.hexdigest()
+    settings = {"columns": sorted(schema.columns.items()), "delimiter": schema.delimiter,
+                "year_range": list(schema.year_range)}
+    key = _sha256(json.dumps(
+        {"format": FORMAT, "input": digest, "settings": settings, "sources": sources,
+         "python": sys.version},
+        sort_keys=True).encode("utf-8"))
+    real = Path(os.path.realpath(input_path))
+    name = f"{real.name}.{_sha256(json.dumps(settings).encode('utf-8'))[:16]}.npz"
+    path = real.parent / DIRECTORY / name
 
-    def text(self) -> io.TextIOWrapper:
-        """The input as the text a parse reads, with lines split as ``open`` splits
-        them; :meth:`store` stores a parse only if the bytes read hash to the key."""
-        self._reader = _HashingReader(self.input_path)
-        return io.TextIOWrapper(io.BufferedReader(self._reader), encoding="utf-8",
-                                newline="")
-
-    def load(self, strict: bool) -> ParseReport | None:
-        """The stored parse, or None (a miss) if no valid file holds this key.
-
-        With ``strict``, a stored skipped row raises the :class:`RowError` that a
-        strict parse raises: the one for the first row it skipped.
-        """
-        try:
-            # Opened here, not by np.load, which leaks the file if the zip is damaged.
-            with open(self.path, "rb") as fh:
-                stored = np.load(fh, allow_pickle=False)
-                if (not isinstance(stored, np.lib.npyio.NpzFile)
-                        or sorted(stored.files) != sorted(_LAYOUT)):
-                    return None
-                arrays = {name: stored[name] for name in _LAYOUT}
-            report = self._rebuild(arrays)
-        except _UNREADABLE:  # UnicodeDecodeError is a ValueError
-            return None
-        if report is not None and strict and report.skipped:
-            first = report.skipped[0]
-            raise RowError(first.line, first.reason)
+    stored = _load(path, key)
+    if stored is None:
+        with _HashingReader(input_path) as reader:
+            report = parse_firm_records(reader, schema, strict=strict)
+        if reader.sha256.hexdigest() == digest:  # else the file changed since it was hashed
+            _store(path, key, report)
         return report
+    columns, skipped = stored
+    if strict and skipped:
+        raise RowError(skipped[0].line, skipped[0].reason)
+    dataset = Dataset._of(columns, None, schema.currency_unit, (input_path,))
+    return ParseReport(dataset=dataset, skipped=skipped)
 
-    def _rebuild(self, arrays: dict[str, np.ndarray]) -> ParseReport | None:
+
+def _load(path: Path, key: str) -> tuple[Columns, tuple[RowIssue, ...]] | None:
+    """The columns and skipped rows stored at ``path``, or None (a miss) unless a
+    valid file holds ``key``."""
+    try:
+        # Opened here, not by np.load, which leaks the file if the zip is damaged.
+        with open(path, "rb") as fh:
+            stored = np.load(fh, allow_pickle=False)
+            if (not isinstance(stored, np.lib.npyio.NpzFile)
+                    or sorted(stored.files) != sorted(_LAYOUT)):
+                return None
+            arrays = {name: stored[name] for name in _LAYOUT}
         if any(arrays[name].dtype != np.dtype(dtype) for name, dtype in _LAYOUT.items()):
             return None
-        if arrays["key"].ndim != 1 or arrays["key"].tobytes() != self.key.encode("ascii"):
+        if arrays["key"].ndim != 1 or arrays["key"].tobytes() != key.encode("ascii"):
             return None
         year, skipped_line = arrays["year"], arrays["skipped_line"]
         if year.ndim != 1 or skipped_line.ndim != 1:
@@ -199,36 +189,34 @@ class Entry:
         firm_id = _decode(arrays["firm_id"], arrays["firm_id_offsets"])
         names = _decode(arrays["names"], arrays["names_offsets"])
         reasons = _decode(arrays["skipped_reason"], arrays["skipped_reason_offsets"])
-        codes = arrays["codes"]
-        if (firm_id is None or names is None or reasons is None
-                or (n and not (0 <= codes.min() and codes.max() < len(names)))):
-            return None
-        ids = np.empty(n, dtype=object)
-        ids[:] = firm_id
-        columns = Columns(ids, year, arrays["workers"], dict(zip(MONEY_FIELDS, arrays["money"])),
-                          dict(zip(OPTIONAL_FIELDS, arrays["present"])),
-                          dict(zip(KEY_FIELDS, codes)), names)
-        dataset = Dataset._of(columns, None, self.schema.currency_unit, (self.input_path,))
-        skipped = tuple(map(RowIssue, skipped_line.tolist(), reasons))
-        return ParseReport(dataset=dataset, skipped=skipped)
+    except _UNREADABLE:  # UnicodeDecodeError is a ValueError
+        return None
+    codes = arrays["codes"]
+    if (firm_id is None or names is None or reasons is None
+            or (n and not (0 <= codes.min() and codes.max() < len(names)))):
+        return None
+    ids = np.empty(n, dtype=object)
+    ids[:] = firm_id
+    columns = Columns(ids, year, arrays["workers"], dict(zip(MONEY_FIELDS, arrays["money"])),
+                      dict(zip(OPTIONAL_FIELDS, arrays["present"])),
+                      dict(zip(KEY_FIELDS, codes)), names)
+    return columns, tuple(map(RowIssue, skipped_line.tolist(), reasons))
 
-    def store(self, report: ParseReport) -> None:
-        """Store ``report``, the parse of :meth:`text`, if the bytes it read are
-        the bytes of the key; a directory that cannot be written is left as it was."""
-        if self._reader is None or self._reader.sha256.hexdigest() != self.digest:
-            return  # the file changed since it was hashed
-        columns = report.dataset.columns  # a parse's dataset holds every row of its columns
-        arrays = {"key": np.frombuffer(self.key.encode("ascii"), dtype=np.uint8)}
-        arrays["firm_id"], arrays["firm_id_offsets"] = _encode(columns.firm_id.tolist())
-        arrays["names"], arrays["names_offsets"] = _encode(columns.names.tolist())
-        arrays["skipped_reason"], arrays["skipped_reason_offsets"] = _encode(
-            [issue.reason for issue in report.skipped])
-        arrays.update(
-            year=columns.year, workers=columns.workers,
-            money=np.stack([columns.money[name] for name in MONEY_FIELDS]),
-            present=np.stack([columns.present[name] for name in OPTIONAL_FIELDS]),
-            codes=np.stack([columns.codes[name] for name in KEY_FIELDS]),
-            skipped_line=np.array([issue.line for issue in report.skipped], dtype=np.int64),
-        )
-        with suppress(OSError), atomic_open(self.path, binary=True) as fh:
-            np.savez(fh, **arrays)
+
+def _store(path: Path, key: str, report: ParseReport) -> None:
+    """Store ``report`` under ``key``; a directory that cannot be written is left as it was."""
+    columns = report.dataset.columns  # a parse's dataset holds every row of its columns
+    arrays = {"key": np.frombuffer(key.encode("ascii"), dtype=np.uint8)}
+    arrays["firm_id"], arrays["firm_id_offsets"] = _encode(columns.firm_id.tolist())
+    arrays["names"], arrays["names_offsets"] = _encode(columns.names.tolist())
+    arrays["skipped_reason"], arrays["skipped_reason_offsets"] = _encode(
+        [issue.reason for issue in report.skipped])
+    arrays.update(
+        year=columns.year, workers=columns.workers,
+        money=np.stack([columns.money[name] for name in MONEY_FIELDS]),
+        present=np.stack([columns.present[name] for name in OPTIONAL_FIELDS]),
+        codes=np.stack([columns.codes[name] for name in KEY_FIELDS]),
+        skipped_line=np.array([issue.line for issue in report.skipped], dtype=np.int64),
+    )
+    with suppress(OSError), atomic_open(path, binary=True) as fh:
+        np.savez(fh, **arrays)

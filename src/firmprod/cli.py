@@ -118,15 +118,8 @@ _year_option = click.option("--year", type=int, default=None, help="Restrict to 
 def _load(input_path: str, schema_path: str | None, strict: bool) -> ParseReport:
     """Parse the input, or load the parse the cache holds for its bytes and schema."""
     schema = CsvSchema.from_json(schema_path) if schema_path else CsvSchema()
-    entry = _parse_cache.Entry.open(input_path, schema)
-    if entry is None:
-        return parse_firm_records(input_path, schema, strict=strict)
-    report = entry.load(strict)
-    if report is None:
-        with entry.text() as text:
-            report = parse_firm_records(text, schema, strict=strict, provenance=input_path)
-        entry.store(report)
-    return report
+    return (_parse_cache.parse(input_path, schema, strict)
+            or parse_firm_records(input_path, schema, strict=strict))
 
 
 def _basis(flag: str) -> measures.ValueBasis:

@@ -15,6 +15,7 @@ check goes through :func:`_record_from_row`, which owns the skip reasons.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -382,7 +383,6 @@ def parse_firm_records(
     schema: CsvSchema | None = None,
     *,
     strict: bool = False,
-    provenance: str = "",
 ) -> ParseReport:
     """Parse delimited firm-year records into a dataset.
 
@@ -392,19 +392,24 @@ def parse_firm_records(
     the header names twice, always raises :class:`SchemaError`. Row order
     is preserved; a repeated (firm_id, year) key within one file is a row
     error, and the first row with the key is kept.
+
+    A path is read as its bytes. Bytes are decoded as UTF-8, with LF, CRLF
+    or CR line endings, and a byte stream is left open. The dataset's
+    provenance is the stream's ``name`` when that is a string, so the path
+    of a file opened from one.
     """
     schema = schema or CsvSchema()
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as fh:
-            return parse_firm_records(fh, schema, strict=strict, provenance=provenance or str(source))
-
-    lines: Iterable[str]
+        with open(source, "rb") as fh:
+            return parse_firm_records(fh, schema, strict=strict)
     if hasattr(source, "read") and isinstance(source.read(0), bytes):  # type: ignore[union-attr]
-        lines = (raw.decode("utf-8") for raw in source)  # type: ignore[union-attr]
-    else:
-        lines = source  # type: ignore[assignment]
+        text = io.TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
+        try:
+            return parse_firm_records(text, schema, strict=strict)  # the wrapper has its name
+        finally:
+            text.detach()  # a collected wrapper would close the caller's stream
 
-    line_filter = _LineFilter(lines)
+    line_filter = _LineFilter(source)  # type: ignore[arg-type]
     reader = csv.reader(line_filter, delimiter=schema.delimiter)
     skipped: list[RowIssue] = []
 
@@ -418,8 +423,9 @@ def parse_firm_records(
     def read(limit: int) -> tuple[list[list[str]], list[int], list, bool | DataError]:
         """Up to ``limit`` split rows, their line numbers, the lines csv could
         not split, and whether input is left: ``True``, ``False``, or the
-        error of a line that is not UTF-8, raised once the rows before it
-        are reported."""
+        error of an undecodable byte, raised once the rows the reader already
+        gave are reported. Bytes are decoded a chunk at a time, so rows
+        before the byte in its chunk are not among them."""
         rows: list[list[str]] = []
         numbers: list[int] = []
         errors: list[tuple[tuple[int, int], int, str]] = []
@@ -467,7 +473,9 @@ def parse_firm_records(
         raise more
 
     columns = Columns.concat([(part, None) for part in parse_block.parts])
-    dataset = Dataset._of(columns, None, schema.currency_unit, (provenance,) if provenance else ())
+    name = getattr(source, "name", None)
+    provenance = (name,) if isinstance(name, str) else ()
+    dataset = Dataset._of(columns, None, schema.currency_unit, provenance)
     return ParseReport(dataset=dataset, skipped=tuple(skipped))
 
 

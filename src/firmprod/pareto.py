@@ -184,7 +184,7 @@ def fit_pareto(series: RankSizeSeries, tail: TailSpec | None = None) -> ParetoFi
     """Least-squares tail-exponent estimate on the selected rank range.
 
     Regresses log10(rank) on log10(value); the exponent is minus the slope.
-    Needs at least 3 selected points with non-identical values.
+    Needs at least 3 selected points with finite, non-identical values.
     """
     tail = tail or TailSpec.whole()
     min_rank, max_rank = tail.select(series.n)
@@ -194,10 +194,12 @@ def fit_pareto(series: RankSizeSeries, tail: TailSpec | None = None) -> ParetoFi
         raise InsufficientDataError(
             f"tail selection {min_rank}..{max_rank} has {count} points, need >= 3"
         )
+    x = np.log10(selected)
+    if not np.isfinite(x).all():  # values are positive, so only an infinity gets here
+        raise NumericalError("a value overflowed to infinity, so its log10 is not finite")
     if selected[0] == selected[-1]:
         raise ZeroVarianceError("all values in the selected fit range are equal")
 
-    x = np.log10(selected)
     y = np.log10(np.arange(min_rank, max_rank + 1, dtype=float))
 
     x_mean = x.mean()

@@ -136,6 +136,8 @@ def _diagnose_collinearity(design: np.ndarray) -> str:
 
 def fit_log_design(design: LogDesign) -> ProductionFit:
     """OLS on a prepared log design, with residual-based standard errors."""
+    if not (np.isfinite(design.responses).all() and np.isfinite(design.regressors).all()):
+        raise NumericalError("a value overflowed to infinity, so its log10 is not finite")
     n = design.n
     x = np.column_stack([np.ones(n), design.regressors])
     y = design.responses

@@ -303,7 +303,8 @@ def test_emitted_files_follow_umask(runner, tmp_path, monkeypatch, umask, mode):
 
 def run_process(cwd, *args):
     """Run the CLI in a real process, so an uncaught exception prints its traceback."""
-    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1]),
+           "PYTHONWARNINGS": "error"}
     return subprocess.run([sys.executable, "-m", "firmprod.cli", *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -452,7 +453,8 @@ def test_an_output_path_that_cannot_be_written_is_a_config_error(out, tmp_path):
 def test_a_closed_stdout_is_not_an_output_path_error(tmp_path):
     # click exits 1 without a message when stdout is a pipe its reader closed.
     (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1]),
+           "PYTHONWARNINGS": "error"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "firmprod.cli", "ingest", "--input", "firms.csv", "--out", "out"],
         cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -617,6 +619,37 @@ def test_exit_code_for_numerical_errors(runner):
                                       "--tail", "whole", "--out", "out"])
         assert result.exit_code == 4
         assert "error (numerical)" in result.output
+
+
+def _overflowing_firms() -> str:
+    """Twelve firms, one per sector of s0..s2 with components that sum past 1.7e308."""
+    rows = [_COMPONENT_FIRMS.splitlines()[0]]
+    for i in range(12):
+        big = "1.7e+308" if i < 3 else str(10.0 + 3 * i)
+        rows.append(f"F{i},2003,JP,s{i % 3},manufacturing,100,40,{2 + i % 5},{big},{5 + i},"
+                    f"{big},1,1,1")
+    return "\n".join(rows) + "\n"
+
+
+_OVERFLOW = "a value overflowed to infinity"
+
+
+@pytest.mark.parametrize("args, code, message, rows", [
+    (["fit-pareto"], 4, f"error (numerical): {_OVERFLOW}", None),
+    (["fit-pareto", "--level", "sector"], 4, f"error (numerical): {_OVERFLOW}", None),
+    (["pareto-series"], 0, "year 2003: no fit", "pareto_series.csv"),
+    (["fit-production"], 0, f"skipped stratum ('JP', 'manufacturing', 2003): {_OVERFLOW}",
+     "production_fits.csv"),
+], ids=["fit-pareto", "fit-pareto-sector", "pareto-series", "fit-production"])
+def test_a_value_that_overflows_is_not_fitted(runner, args, code, message, rows):
+    with runner.isolated_filesystem():
+        Path("firms.csv").write_text(_overflowing_firms())
+        result = runner.invoke(main, [*args, "--input", "firms.csv", "--basis", "av-components",
+                                      "--out", "out"])
+        assert result.exit_code == code, result.output
+        assert message in result.stderr
+        if rows is not None:
+            assert read_rows(Path("out", rows)) == []
 
 
 def test_ingest_summary_contents(runner):

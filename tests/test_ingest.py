@@ -36,6 +36,7 @@ from firmprod.ingest import (
     MANDATORY_FIELDS,
     OPTIONAL_FIELDS,
     SECTOR_CLASSES,
+    RowIssue,
     _LineFilter,
     _record_from_row,
 )
@@ -464,6 +465,44 @@ def test_parse_accepts_byte_streams():
 
 
 
+_TWO_ROWS = [HEADER, "F1,2003,JP,steel,manufacturing,100,40,10,,,,,,",
+             "F2,2003,JP,steel,manufacturing,oops,40,10,,,,,,"]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_one_input_gives_one_parse_from_text_bytes_or_a_path(ending, tmp_path):
+    text = ending.join(_TWO_ROWS) + ending
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    stream = io.BytesIO(text.encode("utf-8"))
+    # newline="" makes a StringIO split lines as a file opened for the csv module does
+    reports = {"text": parse_firm_records(io.StringIO(text, newline="")),
+               "bytes": parse_firm_records(stream),
+               "path": parse_firm_records(path)}
+    for kind, report in reports.items():
+        assert report.dataset.records == reports["text"].dataset.records, kind
+        assert report.skipped == (RowIssue(3, "revenue: cannot parse 'oops' as a number"),), kind
+    assert [record.firm_id for record in reports["path"].dataset.records] == ["F1"]
+    assert {kind: report.dataset.provenance for kind, report in reports.items()} == {
+        "text": (), "bytes": (), "path": (str(path),)}
+    assert not stream.closed
+    stream.seek(0)
+    assert stream.read() == text.encode("utf-8")
+
+
+def test_a_strict_parse_of_bytes_raises_the_error_of_a_path(tmp_path):
+    data = "\n".join(_TWO_ROWS).encode("utf-8") + b"\nF3,2003,JP,st\xffel,manufacturing,1,1,1\n"
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    errors = []
+    for source in (io.BytesIO(data), path):
+        with pytest.raises(FirmprodError) as caught:
+            parse_firm_records(source, strict=True)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+    assert "not UTF-8" in errors[0][1]
+
+
 ROW = "F1,2003,JP,steel,manufacturing,100,40,10,,,,,,\n"
 BOM = "\ufeff"
 
@@ -494,16 +533,27 @@ def test_byte_order_mark_before_comment_line_is_dropped():
 # ---------------------------------------------------------------------------
 
 
-@given(st.one_of(st.text(), st.binary()), st.booleans(), st.booleans())
-def test_arbitrary_input_parses_or_raises_a_package_error(body, with_header, strict):
-    if with_header:  # so that most examples reach the row parser
-        body = (HEADER + "\n").encode() + body if isinstance(body, bytes) else HEADER + "\n" + body
-    source = io.BytesIO(body) if isinstance(body, bytes) else io.StringIO(body)
+def _outcome(source, strict: bool) -> tuple:
+    """The records and skipped rows of a parse, or the type and text of its package error."""
     try:
         report = parse_firm_records(source, strict=strict)
-    except FirmprodError:
-        return
+    except FirmprodError as exc:
+        return type(exc), str(exc)
     assert isinstance(report, ParseReport)
+    return report.dataset.records, report.skipped
+
+
+@given(st.one_of(st.text(), st.binary()), st.booleans(), st.booleans())
+def test_arbitrary_input_parses_or_raises_a_package_error(tmp_path_factory, body, with_header,
+                                                          strict):
+    if with_header:  # so that most examples reach the row parser
+        body = (HEADER + "\n").encode() + body if isinstance(body, bytes) else HEADER + "\n" + body
+    if isinstance(body, str):
+        _outcome(io.StringIO(body), strict)
+        return
+    path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+    path.write_bytes(body)
+    assert _outcome(io.BytesIO(body), strict) == _outcome(path, strict)
 
 
 # Cells are stripped on parse, so names avoid outer whitespace. Inside a name

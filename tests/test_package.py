@@ -64,7 +64,7 @@ def report():
 
 
 def _run(tmp_path: Path, body: str) -> list[str]:
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"}
     proc = subprocess.run([sys.executable, "-c", _REPORT + body], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -105,6 +105,7 @@ def parses(monkeypatch) -> list:
         return parse(source, *args, **kwargs)
 
     monkeypatch.setattr(cli, "parse_firm_records", counting)
+    monkeypatch.setattr(_parse_cache, "parse_firm_records", counting)
     return calls
 
 
@@ -273,14 +274,14 @@ def test_a_damaged_or_foreign_cache_file_is_a_miss(workdir, parses, damage):
 
 def test_a_file_that_changes_while_it_is_parsed_is_not_stored(workdir, monkeypatch):
     args = ["ingest", *write_input("hostile")]
-    text = _parse_cache.Entry.text
+    parse = _parse_cache.parse_firm_records
 
-    def edit_then_read(entry):
+    def edit_then_parse(source, *args, **kwargs):
         Path("in.csv").write_text(hostile_csv().replace("\nF0000,2001,", "\nF0000,2004,", 1),
                                   encoding="utf-8")
-        return text(entry)
+        return parse(source, *args, **kwargs)
 
-    monkeypatch.setattr(_parse_cache.Entry, "text", edit_then_read)
+    monkeypatch.setattr(_parse_cache, "parse_firm_records", edit_then_parse)
     changed = invoke(*args)
     assert changed[0] == 0
     assert b"year_max,2004" in changed[3]["summary.csv"]  # the parse read the new bytes
@@ -324,8 +325,8 @@ def test_a_changed_schema_is_a_miss_and_the_currency_unit_is_not_in_the_key(work
 def _run_process(cwd: Path, *args: str, src: Path | None = None):
     src = src or Path(firmprod.__file__).parents[1]
     return subprocess.run([sys.executable, "-m", "firmprod.cli", *args], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-                          timeout=60)
+                          env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error"},
+                          capture_output=True, timeout=60)
 
 
 def test_a_cache_directory_that_cannot_be_created_changes_nothing(tmp_path):
@@ -378,7 +379,8 @@ def test_the_cache_file_follows_the_umask(workdir, umask, mode):
 def test_a_fifo_is_parsed_as_before_and_not_cached(tmp_path):
     fifo = tmp_path / "in.csv"
     os.mkfifo(fifo)
-    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1]),
+           "PYTHONWARNINGS": "error"}
     proc = subprocess.Popen([sys.executable, "-m", "firmprod.cli", "ingest", "--input",
                              "in.csv", "--out", "out"], cwd=tmp_path, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
