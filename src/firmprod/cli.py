@@ -386,7 +386,8 @@ def pareto_series(input_path: str, schema_path: str | None, macro_path: str | No
     ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
     tail = _tail(tail_text, level)
     per_year = ev.split("year")
-    fits = pareto.fit_years(per_year, lambda part: pareto.level_values(part, level), tail)
+    fits, failures = pareto.fit_years(per_year, lambda part: pareto.level_values(part, level),
+                                      tail)
 
     cfg = config_hash({"command": "pareto-series", "input": input_path,
                        "schema": schema_path, "macro": macro_path, "basis": basis,
@@ -394,8 +395,8 @@ def pareto_series(input_path: str, schema_path: str | None, macro_path: str | No
     table = Table(list(fits), *_fields(fits.values(), "mu", "se_mu", "r2", "tail_fraction"))
     target = write_table(Path(out_dir) / "pareto_series",
                          ("year", "mu", "se_mu", "r2", "tail_fraction"), table, cfg, fmt)
-    for yr in sorted(set(per_year) - set(fits)):
-        click.echo(f"year {yr}: no fit (insufficient or degenerate data)", err=True)
+    for yr, reason in failures.items():
+        click.echo(f"year {yr}: no fit: {reason}", err=True)
     _echo_excluded(ev)
     click.echo(f"fitted {len(table)} years; wrote {target}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -150,6 +151,16 @@ class ParseReport:
     @property
     def n_skipped(self) -> int:
         return len(self.skipped)
+
+
+def _split_at_lone_cr(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` split at a lone CR too, as a file opened with ``newline=""`` splits them."""
+    for line in lines:
+        cr = line.find("\r", 0, -1)  # a CR before the last character
+        if cr < 0 or line[cr + 1:] == "\n":
+            yield line
+        else:  # pieces that each end at LF, CRLF or a lone CR, or end the line
+            yield from re.findall(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", line)
 
 
 class _LineFilter:
@@ -393,23 +404,31 @@ def parse_firm_records(
     is preserved; a repeated (firm_id, year) key within one file is a row
     error, and the first row with the key is kept.
 
-    A path is read as its bytes. Bytes are decoded as UTF-8, with LF, CRLF
-    or CR line endings, and a byte stream is left open. The dataset's
-    provenance is the stream's ``name`` when that is a string, so the path
-    of a file opened from one.
+    A path is read as its bytes. Bytes are decoded as UTF-8, and a byte
+    stream is left open. Lines end at LF, CRLF or CR, in bytes and in text
+    alike. The dataset's provenance is the stream's ``name`` when that is a
+    string, so the path of a file opened from one.
     """
     schema = schema or CsvSchema()
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return parse_firm_records(fh, schema, strict=strict)
+    name = getattr(source, "name", None)
+    provenance = (name,) if isinstance(name, str) else ()
     if hasattr(source, "read") and isinstance(source.read(0), bytes):  # type: ignore[union-attr]
         text = io.TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
         try:
-            return parse_firm_records(text, schema, strict=strict)  # the wrapper has its name
+            return _parse_lines(text, schema, strict, provenance)
         finally:
             text.detach()  # a collected wrapper would close the caller's stream
+    lines = _split_at_lone_cr(source)  # type: ignore[arg-type]
+    return _parse_lines(lines, schema, strict, provenance)
 
-    line_filter = _LineFilter(source)  # type: ignore[arg-type]
+
+def _parse_lines(lines: Iterable[str], schema: CsvSchema, strict: bool,
+                 provenance: tuple[str, ...]) -> ParseReport:
+    """:func:`parse_firm_records` of lines split as by a file opened with ``newline=""``."""
+    line_filter = _LineFilter(lines)
     reader = csv.reader(line_filter, delimiter=schema.delimiter)
     skipped: list[RowIssue] = []
 
@@ -473,8 +492,6 @@ def parse_firm_records(
         raise more
 
     columns = Columns.concat([(part, None) for part in parse_block.parts])
-    name = getattr(source, "name", None)
-    provenance = (name,) if isinstance(name, str) else ()
     dataset = Dataset._of(columns, None, schema.currency_unit, provenance)
     return ParseReport(dataset=dataset, skipped=tuple(skipped))
 

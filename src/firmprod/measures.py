@@ -194,10 +194,16 @@ def labor_productivity(
     basis: ValueBasis = ValueBasis.GROSS_MARGIN,
     ctx: MacroContext | None = None,
 ) -> ProductivityMeasure:
-    """Value per worker, as :func:`evaluate` gives it. Records with zero
-    workers are refused, never inf."""
-    ev = evaluate((r,), basis, ctx, strict=True)
-    return ProductivityMeasure(basis=basis, value=float(ev.productivity[0]), workers=r.workers)
+    """Value per worker: :func:`gross_margin`, or :func:`added_value` under an
+    added-value basis, over ``r.workers``. Records with zero workers are
+    refused, never inf."""
+    if r.workers == 0:
+        raise ZeroWorkersError(
+            f"record ({r.firm_id}, {r.year}) has zero workers; "
+            "filter with require_positive=('workers',) first"
+        )
+    value = gross_margin(r) if basis is ValueBasis.GROSS_MARGIN else added_value(r, basis, ctx)
+    return ProductivityMeasure(basis=basis, value=value / r.workers, workers=r.workers)
 
 
 def _check_mode(mode: str) -> None:
@@ -255,12 +261,13 @@ class Evaluation:
         _check_mode(mode)
         pick = slice(None) if where is None else where
         values = self.values[pick]
-        total_value = float(np.cumsum(values)[-1])
-        total_workers = int(self.workers[pick].sum())  # integers: exact in any order
-        if mode == "pooled":
-            productivity = total_value / total_workers
-        else:
-            productivity = float(np.cumsum(self.productivity[pick])[-1]) / len(values)
+        with np.errstate(all="ignore"):  # an overflowed sum is inf, as in evaluate
+            total_value = float(np.cumsum(values)[-1])
+            total_workers = int(self.workers[pick].sum())  # integers: exact in any order
+            if mode == "pooled":
+                productivity = total_value / total_workers
+            else:
+                productivity = float(np.cumsum(self.productivity[pick])[-1]) / len(values)
         return SectorAggregate(total_value, total_workers, productivity, len(values))
 
     def split(self, key: GroupKey) -> dict:
@@ -290,25 +297,6 @@ def _selection(records: Iterable[FirmRecord] | Dataset | Evaluation) -> tuple[Co
         return records.columns, records.rows
     columns = Columns.from_records(tuple(records))
     return columns, np.arange(len(columns))
-
-
-def _raise_record_error(columns: Columns, row: int, basis: ValueBasis,
-                        ctx: MacroContext | None) -> None:
-    """Raise the error that leaves the record at ``row`` out under ``basis``."""
-    (firm_id, year), = columns.keys(np.array([row]))
-    if columns.workers[row] == 0:
-        raise ZeroWorkersError(
-            f"record ({firm_id}, {year}) has zero workers; "
-            "filter with require_positive=('workers',) first"
-        )
-    if basis is ValueBasis.ADDED_VALUE_COMPONENTS:
-        missing = [name for name in COMPONENT_FIELDS if not columns.present[name][row]]
-        raise IncompleteRecordError(
-            f"record ({firm_id}, {year}) lacks components: {', '.join(missing)}"
-        )
-    if ctx is None:
-        raise MacroContextError("labor-share added value requires a MacroContext")
-    ctx.entry(columns.names[columns.codes["country"][row]], year)  # raises: no entry
 
 
 def evaluate(
@@ -350,8 +338,9 @@ def evaluate(
         else:
             raise ValueError(f"not a value basis: {basis}")
     if fails.any():
-        if strict:
-            _raise_record_error(columns, int(rows[np.argmax(fails)]), basis, ctx)
+        if strict:  # the first record left out raises its own error
+            labor_productivity(columns._build_views(rows[fails][:1])[0], basis, ctx)
+            raise AssertionError("labor_productivity accepted a record evaluate left out")
         keep = ~fails
         return Evaluation(columns, rows[keep], values[keep], workers[keep], int(fails.sum()))
     return Evaluation(columns, rows, values, workers)

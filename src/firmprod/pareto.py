@@ -283,15 +283,17 @@ def default_tail(level: str) -> TailSpec:
 
 def fit_years(
     parts: Mapping[int, Any], values_of: Callable[[Any], Iterable[float]], tail: TailSpec
-) -> dict[int, ParetoFit]:
-    """One tail fit of ``values_of(part)`` per year; years that cannot be fitted are absent."""
-    out: dict[int, ParetoFit] = {}
+) -> tuple[dict[int, ParetoFit], dict[int, str]]:
+    """One tail fit of ``values_of(part)`` per year and, separately, the
+    years that could not be fitted with the reason."""
+    fits: dict[int, ParetoFit] = {}
+    failures: dict[int, str] = {}
     for year in sorted(parts):
         try:
-            out[year] = fit_pareto(rank_size(values_of(parts[year])), tail)
-        except (DataError, NumericalError):
-            continue
-    return out
+            fits[year] = fit_pareto(rank_size(values_of(parts[year])), tail)
+        except (DataError, NumericalError) as exc:
+            failures[year] = str(exc)
+    return fits, failures
 
 
 def pareto_time_series(
@@ -306,4 +308,4 @@ def pareto_time_series(
         datasets,
         lambda d: productivity_values(d, level, basis, ctx),
         tail or default_tail(level),
-    )
+    )[0]

@@ -146,8 +146,7 @@ class Columns:
 
     def __init__(self, firm_id: np.ndarray, year: np.ndarray, workers: np.ndarray,
                  money: Mapping[str, np.ndarray], present: Mapping[str, np.ndarray],
-                 codes: Mapping[str, np.ndarray], names: Sequence[str],
-                 views: tuple[FirmRecord, ...] | None = None):
+                 codes: Mapping[str, np.ndarray], names: Sequence[str]):
         self.firm_id = firm_id
         self.year = year
         self.workers = workers
@@ -155,7 +154,7 @@ class Columns:
         self.present = dict(present)
         self.codes = dict(codes)
         self.names = np.array(list(names), dtype=object)
-        self._views = views
+        self._views: tuple[FirmRecord, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.year)
@@ -166,14 +165,13 @@ class Columns:
     @classmethod
     def from_arrays(cls, firm_id: Sequence[str], year: np.ndarray, workers: np.ndarray,
                     money: Mapping[str, np.ndarray], present: Mapping[str, np.ndarray],
-                    texts: Mapping[str, Sequence[str]],
-                    views: tuple[FirmRecord, ...] | None = None) -> Columns:
+                    texts: Mapping[str, Sequence[str]]) -> Columns:
         """Columns of checked values; ``texts`` holds the key fields as strings."""
         ids = np.empty(len(firm_id), dtype=object)
         ids[:] = firm_id
         table: dict[str, int] = {}
         codes = {name: _encode(texts[name], table) for name in KEY_FIELDS}
-        return cls(ids, year, workers, money, present, codes, table, views)
+        return cls(ids, year, workers, money, present, codes, table)
 
     @classmethod
     def from_records(cls, records: Sequence[FirmRecord]) -> Columns:
@@ -191,9 +189,11 @@ class Columns:
                 present[name] = np.array([v is not None for v in values], dtype=bool)
                 values = [0.0 if v is None else v for v in values]
             money[name] = np.array(values, dtype=float)
-        return cls.from_arrays(field("firm_id"), _int64_array(field("year"), "year"),
-                               _int64_array(field("workers"), "workers"), money, present,
-                               {name: field(name) for name in KEY_FIELDS}, records)
+        columns = cls.from_arrays(field("firm_id"), _int64_array(field("year"), "year"),
+                                  _int64_array(field("workers"), "workers"), money, present,
+                                  {name: field(name) for name in KEY_FIELDS})
+        columns._views = records
+        return columns
 
     @classmethod
     def concat(cls, parts: Sequence[tuple[Columns, np.ndarray | None]]) -> Columns:
@@ -253,13 +253,14 @@ class Columns:
         views = self._views
         return tuple([views[i] for i in rows.tolist()])
 
-    def _build_views(self) -> tuple[FirmRecord, ...]:
+    def _build_views(self, rows: np.ndarray | None = None) -> tuple[FirmRecord, ...]:
+        """New record views of ``rows`` (all rows by default)."""
         cells = []
         for name in CANONICAL_COLUMNS:
-            values = self.column(name).tolist()
+            values = self.column(name, rows).tolist()
             if name in OPTIONAL_FIELDS:
                 values = [v if p else None
-                          for v, p in zip(values, self.present[name].tolist())]
+                          for v, p in zip(values, self.present_mask(name, rows).tolist())]
             cells.append(values)
         # The columns hold checked values, so the views skip FirmRecord's checks.
         new, names = object.__new__, CANONICAL_COLUMNS

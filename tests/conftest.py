@@ -1,8 +1,21 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import firmprod
 from firmprod import Dataset, FirmRecord, MacroContext
+
+#: The ``src`` directory this checkout's package is imported from.
+SRC = Path(firmprod.__file__).parents[1]
+
+
+def child_env(src: Path = SRC) -> dict[str, str]:
+    """The environment of a child Python process: it imports firmprod from
+    ``src`` and turns every warning into an error."""
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error"}
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import firmprod
+from conftest import child_env
 from firmprod import cli
 from firmprod._emit import format_cell
 from firmprod.cli import main
@@ -303,9 +305,7 @@ def test_emitted_files_follow_umask(runner, tmp_path, monkeypatch, umask, mode):
 
 def run_process(cwd, *args):
     """Run the CLI in a real process, so an uncaught exception prints its traceback."""
-    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1]),
-           "PYTHONWARNINGS": "error"}
-    return subprocess.run([sys.executable, "-m", "firmprod.cli", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "firmprod.cli", *args], cwd=cwd, env=child_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -453,11 +453,9 @@ def test_an_output_path_that_cannot_be_written_is_a_config_error(out, tmp_path):
 def test_a_closed_stdout_is_not_an_output_path_error(tmp_path):
     # click exits 1 without a message when stdout is a pipe its reader closed.
     (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1]),
-           "PYTHONWARNINGS": "error"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "firmprod.cli", "ingest", "--input", "firms.csv", "--out", "out"],
-        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()  # before the command's closing line is written
     stderr = proc.stderr.read()
     proc.stderr.close()
@@ -637,7 +635,7 @@ _OVERFLOW = "a value overflowed to infinity"
 @pytest.mark.parametrize("args, code, message, rows", [
     (["fit-pareto"], 4, f"error (numerical): {_OVERFLOW}", None),
     (["fit-pareto", "--level", "sector"], 4, f"error (numerical): {_OVERFLOW}", None),
-    (["pareto-series"], 0, "year 2003: no fit", "pareto_series.csv"),
+    (["pareto-series"], 0, f"year 2003: no fit: {_OVERFLOW}", "pareto_series.csv"),
     (["fit-production"], 0, f"skipped stratum ('JP', 'manufacturing', 2003): {_OVERFLOW}",
      "production_fits.csv"),
 ], ids=["fit-pareto", "fit-pareto-sector", "pareto-series", "fit-production"])
@@ -650,6 +648,23 @@ def test_a_value_that_overflows_is_not_fitted(runner, args, code, message, rows)
         assert message in result.stderr
         if rows is not None:
             assert read_rows(Path("out", rows)) == []
+
+
+@pytest.mark.parametrize("args, table, cell", [
+    (["measures"], "sector_productivity.csv", "total_value"),
+    (["prod-series"], "productivity_series.csv", "total_value"),
+    (["size-sweep", "--thresholds", "1,3"], "size_sweep.csv", "productivity"),
+], ids=["measures", "prod-series", "size-sweep"])
+def test_a_pooled_sum_that_overflows_is_inf_without_a_warning(runner, args, table, cell):
+    with runner.isolated_filesystem():
+        Path("big.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,1e308,0,2\n"
+                                   "F2,2003,JP,s,manufacturing,1e308,0,3\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [*args, "--input", "big.csv", "--out", "out"])
+        assert result.exit_code == 0, result.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert read_rows(Path("out", table))[0][cell] == "inf"
 
 
 def test_ingest_summary_contents(runner):

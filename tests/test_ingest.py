@@ -475,8 +475,10 @@ def test_one_input_gives_one_parse_from_text_bytes_or_a_path(ending, tmp_path):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
     stream = io.BytesIO(text.encode("utf-8"))
-    # newline="" makes a StringIO split lines as a file opened for the csv module does
+    # newline="" makes a StringIO split lines as a file opened for the csv module does;
+    # a default StringIO splits only at LF, so the parser splits at a lone CR itself
     reports = {"text": parse_firm_records(io.StringIO(text, newline="")),
+               "text-lf": parse_firm_records(io.StringIO(text)),
                "bytes": parse_firm_records(stream),
                "path": parse_firm_records(path)}
     for kind, report in reports.items():
@@ -484,10 +486,26 @@ def test_one_input_gives_one_parse_from_text_bytes_or_a_path(ending, tmp_path):
         assert report.skipped == (RowIssue(3, "revenue: cannot parse 'oops' as a number"),), kind
     assert [record.firm_id for record in reports["path"].dataset.records] == ["F1"]
     assert {kind: report.dataset.provenance for kind, report in reports.items()} == {
-        "text": (), "bytes": (), "path": (str(path),)}
+        "text": (), "text-lf": (), "bytes": (), "path": (str(path),)}
     assert not stream.closed
     stream.seek(0)
     assert stream.read() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_a_quoted_cr_parses_from_a_text_stream_as_from_a_path(ending, tmp_path):
+    rows = [HEADER, '"F\r1",2003,JP,steel,manufacturing,100,40,10,,,,,,',
+            '"F\r\n2",2003,JP,steel,manufacturing,oops,40,10,,,,,,',
+            "F3,2003,JP,steel,manufacturing,100,40,10,,,,,,"]
+    text = ending.join(rows) + ending
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = parse_firm_records(path)
+    assert [record.firm_id for record in expected.dataset.records] == ["F\r1", "F3"]
+    for stream in (io.StringIO(text), io.StringIO(text, newline="")):
+        report = parse_firm_records(stream)
+        assert (report.dataset.records, report.skipped) == (
+            expected.dataset.records, expected.skipped)
 
 
 def test_a_strict_parse_of_bytes_raises_the_error_of_a_path(tmp_path):

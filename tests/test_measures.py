@@ -19,6 +19,7 @@ from firmprod import (
     added_value,
     aggregate_by_sector,
     backout_nonmanufacturing_ratio,
+    evaluate,
     gdp_coverage,
     gen_cobb_douglas_firms,
     gross_margin,
@@ -33,6 +34,7 @@ from firmprod.errors import (
     ZeroWorkersError,
 )
 from firmprod.measures import COMPONENT_FIELDS, MacroEntry
+from firmprod.records import Columns
 
 
 def ctx_for(country="JP", year=2003, labor_share=1.0 / 3.0, gdp=None):
@@ -149,6 +151,22 @@ def test_labor_productivity_zero_workers(make_record):
         labor_productivity(make_record(workers=0))
 
 
+def test_labor_productivity_builds_no_columns(make_record, monkeypatch):
+    built = []
+    init = Columns.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Columns, "__init__", counted_init)
+    record = make_record(ordinary_income=5.0, financial_expense=1.0, tax_public_charge=2.0,
+                         depreciation=3.0)
+    for basis in ValueBasis:
+        labor_productivity(record, basis, ctx_for())
+    assert built == []
+
+
 def test_mean_productivity_matches_lognormal_moment():
     # With fixed size and capital, productivity is base * 10**eps with
     # eps ~ Normal(0, sigma); its mean is base * exp((sigma*ln10)**2 / 2).
@@ -229,6 +247,7 @@ _money = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
 _income = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 _record_fields = st.tuples(
     st.sampled_from(["food", "steel", "chem"]),
+    st.sampled_from(["JP", "JP", "US", "DE"]),  # the context below has no DE entry
     _money,
     _money,
     st.integers(0, 60),
@@ -242,9 +261,18 @@ _record_fields = st.tuples(
 )
 
 
+_LABOR_SHARES = {"JP": 1.0 / 3.0, "US": 0.6}
+_CTX = MacroContext.from_rows([{"country": country, "year": 2003, "labor_share": share}
+                               for country, share in _LABOR_SHARES.items()])
+
+
 def _reference_value(record, basis):
     if basis is ValueBasis.GROSS_MARGIN:
         return record.revenue - record.cogs
+    if basis is ValueBasis.ADDED_VALUE_LABOR_SHARE:
+        if record.country not in _LABOR_SHARES:
+            raise MacroContextError(record.country)
+        return (record.revenue - record.cogs) / (1.0 - _LABOR_SHARES[record.country])
     total = 0.0
     for name in COMPONENT_FIELDS:
         part = getattr(record, name)
@@ -269,38 +297,59 @@ def _reference_pool(records, basis, mode):
 
 @given(
     st.lists(_record_fields, max_size=25),
-    st.sampled_from([ValueBasis.GROSS_MARGIN, ValueBasis.ADDED_VALUE_COMPONENTS]),
+    st.sampled_from(list(ValueBasis)),
     st.sampled_from(["pooled", "mean"]),
     st.lists(st.integers(-3, 70), max_size=6, unique=True).map(sorted),
 )
 def test_reducers_match_left_to_right_reference(fields, basis, mode, thresholds):
     records = [
-        FirmRecord(firm_id=f"f{i}", year=2003, country="JP", sector=sector,
+        FirmRecord(firm_id=f"f{i}", year=2003, country=country, sector=sector,
                    sector_class="manufacturing", revenue=revenue, cogs=cogs, workers=workers,
                    **dict(zip(COMPONENT_FIELDS, parts)))
-        for i, (sector, revenue, cogs, workers, parts) in enumerate(fields)
+        for i, (sector, country, revenue, cogs, workers, parts) in enumerate(fields)
     ]
     d = Dataset(records=tuple(records))
 
     def evaluable(r):
+        if basis is ValueBasis.ADDED_VALUE_LABOR_SHARE:
+            return r.country in _LABOR_SHARES
         return basis is ValueBasis.GROSS_MARGIN or all(
             getattr(r, name) is not None for name in COMPONENT_FIELDS
         )
+
+    # evaluate keeps exactly the records labor_productivity values, at its values,
+    # and in strict mode raises the error of the first record it refuses
+    kept, refusals = [], []
+    for r in records:
+        try:
+            kept.append((r, labor_productivity(r, basis, _CTX).value))
+        except (ZeroWorkersError, IncompleteRecordError, MacroContextError) as exc:
+            refusals.append(exc)
+    ev = evaluate(d, basis, _CTX)
+    assert ev.records == tuple(r for r, _ in kept)
+    assert ev.productivity.tolist() == [value for _, value in kept]
+    assert ev.excluded == len(refusals)
+    if refusals:
+        with pytest.raises(type(refusals[0])) as caught:
+            evaluate(d, basis, _CTX, strict=True)
+        assert str(caught.value) == str(refusals[0])
+    else:
+        assert evaluate(d, basis, _CTX, strict=True).records == ev.records
 
     if all(r.workers > 0 and evaluable(r) for r in records):
         expected = {}
         for sector in dict.fromkeys(r.sector for r in records):
             members = [r for r in records if r.sector == sector]
             expected[sector] = _reference_pool(members, basis, mode)
-        got = aggregate_by_sector(d, basis, mode=mode)
+        got = aggregate_by_sector(d, basis, _CTX, mode=mode)
         assert list(got) == list(expected)
         for sector, agg in got.items():
             assert (agg.total_value, agg.total_workers, agg.productivity, agg.n_firms) == (
                 expected[sector]
             )
     else:
-        with pytest.raises((ZeroWorkersError, IncompleteRecordError)):
-            aggregate_by_sector(d, basis, mode=mode)
+        with pytest.raises((ZeroWorkersError, IncompleteRecordError, MacroContextError)):
+            aggregate_by_sector(d, basis, _CTX, mode=mode)
 
     admitted = [r for r in records if thresholds and r.workers >= max(thresholds[0], 1)]
     if all(evaluable(r) for r in admitted):
@@ -310,10 +359,12 @@ def test_reducers_match_left_to_right_reference(fields, basis, mode, thresholds)
             expected_sweep[threshold] = (
                 _reference_pool(members, basis, mode)[2] if members else None
             )
-        assert size_sweep(d, thresholds, basis, mode=mode) == expected_sweep
+        assert size_sweep(d, thresholds, basis, _CTX, mode=mode) == expected_sweep
     else:
-        with pytest.raises(IncompleteRecordError):
-            size_sweep(d, thresholds, basis, mode=mode)
+        refused = (MacroContextError if basis is ValueBasis.ADDED_VALUE_LABOR_SHARE
+                   else IncompleteRecordError)
+        with pytest.raises(refused):
+            size_sweep(d, thresholds, basis, _CTX, mode=mode)
 
 def test_pooled_productivity_within_member_range(make_record, make_dataset):
     rng = random.Random(17)

@@ -13,8 +13,7 @@ from pathlib import Path
 import pytest
 
 import firmprod
-
-SRC = Path(firmprod.__file__).parents[1]
+from conftest import SRC, child_env
 
 #: The modules ``import firmprod`` registers without running them.
 LAZY_MODULES = ("_emit", "_parse_cache", "errors", "equilibrium", "ingest", "measures",
@@ -64,8 +63,7 @@ def report():
 
 
 def _run(tmp_path: Path, body: str) -> list[str]:
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"}
-    proc = subprocess.run([sys.executable, "-c", _REPORT + body], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", _REPORT + body], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.rsplit("\nRAN ", 1)[1])

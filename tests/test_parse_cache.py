@@ -16,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import firmprod
+from conftest import SRC, child_env
 from firmprod import _emit, _parse_cache, cli
 from firmprod._parse_cache import DIRECTORY
 from firmprod.cli import main
@@ -322,11 +323,9 @@ def test_a_changed_schema_is_a_miss_and_the_currency_unit_is_not_in_the_key(work
     assert b"currency_unit,kUSD" in relabelled[3]["summary.csv"]
 
 
-def _run_process(cwd: Path, *args: str, src: Path | None = None):
-    src = src or Path(firmprod.__file__).parents[1]
+def _run_process(cwd: Path, *args: str, src: Path = SRC):
     return subprocess.run([sys.executable, "-m", "firmprod.cli", *args], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error"},
-                          capture_output=True, timeout=60)
+                          env=child_env(src), capture_output=True, timeout=60)
 
 
 def test_a_cache_directory_that_cannot_be_created_changes_nothing(tmp_path):
@@ -379,10 +378,8 @@ def test_the_cache_file_follows_the_umask(workdir, umask, mode):
 def test_a_fifo_is_parsed_as_before_and_not_cached(tmp_path):
     fifo = tmp_path / "in.csv"
     os.mkfifo(fifo)
-    env = {**os.environ, "PYTHONPATH": str(Path(firmprod.__file__).parents[1]),
-           "PYTHONWARNINGS": "error"}
     proc = subprocess.Popen([sys.executable, "-m", "firmprod.cli", "ingest", "--input",
-                             "in.csv", "--out", "out"], cwd=tmp_path, env=env,
+                             "in.csv", "--out", "out"], cwd=tmp_path, env=child_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         deadline = time.monotonic() + 60
