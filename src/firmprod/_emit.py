@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from collections.abc import Iterator, Mapping, Sequence
@@ -194,12 +195,21 @@ def write_table_csv(path: str | Path, names: Sequence[str], table: Table, cfg_ha
                                 for column in table.columns]))
 
 
+def _json_float(cell: str) -> float | str | None:
+    """A float's CSV cell read back: null if blank, the text itself if not finite."""
+    if not cell:
+        return None
+    value = float(cell)
+    return value if math.isfinite(value) else cell
+
+
 def _json_column(column: Sequence[object]) -> list[object]:
     if _is_integer(column):
         return column.tolist()
     if isinstance(column, BlankableFloats) or _is_float64(column):  # the CSV text, read back
-        return [float(cell) if cell else None for cell in _format_column(column)]
-    return [float(format_cell(cell)) if isinstance(cell, float) else cell for cell in column]
+        return list(map(_json_float, _format_column(column)))
+    return [_json_float(format_cell(cell)) if isinstance(cell, float) else cell
+            for cell in column]
 
 
 def write_table_json(path: str | Path, names: Sequence[str], table: Table, cfg_hash: str) -> None:
@@ -210,7 +220,8 @@ def write_table_json(path: str | Path, names: Sequence[str], table: Table, cfg_h
         "data": [dict(zip(names, row))
                  for row in zip(*(_json_column(column) for column in table.columns))],
     }
-    atomic_write_text(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)  # strict RFC 8259
+    atomic_write_text(Path(path), text + "\n")
 
 
 def write_table(

@@ -40,61 +40,33 @@ from .ingest import CsvSchema, ParseReport, RowIssue, parse_firm_records
 from .records import KEY_FIELDS, MONEY_FIELDS, OPTIONAL_FIELDS, Columns, Dataset
 
 #: Names the stored layout; part of every key.
-FORMAT = "firmprod-parse-cache/1"
+FORMAT = "firmprod-parse-cache/2"
 DIRECTORY = ".firmprod-cache"
 
 #: The modules whose source decides what a parse gives and how it is stored.
 _SOURCES = ("ingest.py", "records.py", "errors.py", "_parse_cache.py")
 
-#: Stored array -> its dtype. Text is UTF-8 bytes plus int64 offsets, because a
-#: fixed-width string array would drop a trailing NUL.
+#: Stored array -> its dtype. ``text`` is the UTF-8 JSON document
+#: ``{"firm_id": [...], "names": [...], "skipped": [[line, reason], ...]}``.
 _LAYOUT = {
     "key": np.uint8,
-    "firm_id": np.uint8,
-    "firm_id_offsets": np.int64,
+    "text": np.uint8,
     "year": np.int64,
     "workers": np.int64,
     "money": np.float64,      # one row per MONEY_FIELDS entry
     "present": np.bool_,      # one row per OPTIONAL_FIELDS entry
     "codes": np.int32,        # one row per KEY_FIELDS entry, into names
-    "names": np.uint8,
-    "names_offsets": np.int64,
-    "skipped_line": np.int64,
-    "skipped_reason": np.uint8,
-    "skipped_reason_offsets": np.int64,
 }
 
-#: What a damaged or foreign file can raise while it is read.
-_UNREADABLE = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
-               MemoryError)  # a damaged array header can ask for more than memory
+#: What a damaged or foreign file can raise while it is read: a damaged array
+#: header can ask for more than memory, a JSON value of the wrong type raises
+#: TypeError, and bad UTF-8 or JSON raises ValueError.
+_UNREADABLE = (OSError, ValueError, EOFError, KeyError, TypeError, zipfile.BadZipFile,
+               MemoryError)
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _encode(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of ``texts``, joined, and the offsets that split them."""
-    data = "".join(texts).encode("utf-8")
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    if lengths.sum() != len(data):  # not ASCII: count bytes, not characters
-        lengths = np.array([len(text.encode("utf-8")) for text in texts], dtype=np.int64)
-    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return np.frombuffer(data, dtype=np.uint8), offsets
-
-
-def _decode(buffer: np.ndarray, offsets: np.ndarray) -> list[str] | None:
-    """The texts :func:`_encode` stored, or None if the offsets do not split ``buffer``."""
-    if (buffer.ndim != 1 or offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0
-            or offsets[-1] != len(buffer) or (np.diff(offsets) < 0).any()):
-        return None
-    data = buffer.tobytes()
-    text = data.decode("utf-8")
-    bounds = offsets.tolist()
-    if len(text) == len(data):  # ASCII: byte offsets are character offsets
-        return [text[a:b] for a, b in zip(bounds, bounds[1:])]
-    return [data[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
 
 
 class _HashingReader(io.RawIOBase):
@@ -163,7 +135,7 @@ def parse(input_path: str, schema: CsvSchema, strict: bool) -> ParseReport | Non
 
 def _load(path: Path, key: str) -> tuple[Columns, tuple[RowIssue, ...]] | None:
     """The columns and skipped rows stored at ``path``, or None (a miss) unless a
-    valid file holds ``key``."""
+    valid file holds ``key``. The key is read first, so a stale file costs one array."""
     try:
         # Opened here, not by np.load, which leaks the file if the zip is damaged.
         with open(path, "rb") as fh:
@@ -171,52 +143,47 @@ def _load(path: Path, key: str) -> tuple[Columns, tuple[RowIssue, ...]] | None:
             if (not isinstance(stored, np.lib.npyio.NpzFile)
                     or sorted(stored.files) != sorted(_LAYOUT)):
                 return None
-            arrays = {name: stored[name] for name in _LAYOUT}
+            arrays = {"key": stored["key"]}
+            if arrays["key"].tobytes() != key.encode("ascii"):
+                return None
+            arrays.update((name, stored[name]) for name in _LAYOUT if name != "key")
         if any(arrays[name].dtype != np.dtype(dtype) for name, dtype in _LAYOUT.items()):
             return None
-        if arrays["key"].ndim != 1 or arrays["key"].tobytes() != key.encode("ascii"):
+        doc = json.loads(arrays["text"].tobytes().decode("utf-8"))
+        firm_id, names, skipped = doc["firm_id"], doc["names"], doc["skipped"]
+        if not all(type(texts) is list for texts in (firm_id, names, skipped)):
             return None
-        year, skipped_line = arrays["year"], arrays["skipped_line"]
-        if year.ndim != 1 or skipped_line.ndim != 1:
-            return None
-        n = len(year)
-        shapes = {"workers": (n,), "money": (len(MONEY_FIELDS), n),
-                  "present": (len(OPTIONAL_FIELDS), n), "codes": (len(KEY_FIELDS), n),
-                  "firm_id_offsets": (n + 1,),
-                  "skipped_reason_offsets": (len(skipped_line) + 1,)}
-        if any(arrays[name].shape != shape for name, shape in shapes.items()):
-            return None
-        firm_id = _decode(arrays["firm_id"], arrays["firm_id_offsets"])
-        names = _decode(arrays["names"], arrays["names_offsets"])
-        reasons = _decode(arrays["skipped_reason"], arrays["skipped_reason_offsets"])
-    except _UNREADABLE:  # UnicodeDecodeError is a ValueError
+        issues = tuple(RowIssue(line, reason) for line, reason in skipped)
+        "".join([*firm_id, *names, *(issue.reason for issue in issues)])  # each a str
+    except _UNREADABLE:
         return None
+    n = len(firm_id)
+    shapes = {"year": (n,), "workers": (n,), "money": (len(MONEY_FIELDS), n),
+              "present": (len(OPTIONAL_FIELDS), n), "codes": (len(KEY_FIELDS), n)}
     codes = arrays["codes"]
-    if (firm_id is None or names is None or reasons is None
+    if (any(arrays[name].shape != shape for name, shape in shapes.items())
+            or any(type(issue.line) is not int for issue in issues)  # not a bool either
             or (n and not (0 <= codes.min() and codes.max() < len(names)))):
         return None
     ids = np.empty(n, dtype=object)
     ids[:] = firm_id
-    columns = Columns(ids, year, arrays["workers"], dict(zip(MONEY_FIELDS, arrays["money"])),
+    columns = Columns(ids, arrays["year"], arrays["workers"],
+                      dict(zip(MONEY_FIELDS, arrays["money"])),
                       dict(zip(OPTIONAL_FIELDS, arrays["present"])),
                       dict(zip(KEY_FIELDS, codes)), names)
-    return columns, tuple(map(RowIssue, skipped_line.tolist(), reasons))
+    return columns, issues
 
 
 def _store(path: Path, key: str, report: ParseReport) -> None:
     """Store ``report`` under ``key``; a directory that cannot be written is left as it was."""
     columns = report.dataset.columns  # a parse's dataset holds every row of its columns
-    arrays = {"key": np.frombuffer(key.encode("ascii"), dtype=np.uint8)}
-    arrays["firm_id"], arrays["firm_id_offsets"] = _encode(columns.firm_id.tolist())
-    arrays["names"], arrays["names_offsets"] = _encode(columns.names.tolist())
-    arrays["skipped_reason"], arrays["skipped_reason_offsets"] = _encode(
-        [issue.reason for issue in report.skipped])
-    arrays.update(
-        year=columns.year, workers=columns.workers,
-        money=np.stack([columns.money[name] for name in MONEY_FIELDS]),
-        present=np.stack([columns.present[name] for name in OPTIONAL_FIELDS]),
-        codes=np.stack([columns.codes[name] for name in KEY_FIELDS]),
-        skipped_line=np.array([issue.line for issue in report.skipped], dtype=np.int64),
-    )
+    text = json.dumps({"firm_id": columns.firm_id.tolist(), "names": columns.names.tolist(),
+                       "skipped": [[issue.line, issue.reason] for issue in report.skipped]},
+                      separators=(",", ":")).encode("utf-8")
     with suppress(OSError), atomic_open(path, binary=True) as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, key=np.frombuffer(key.encode("ascii"), dtype=np.uint8),
+                 text=np.frombuffer(text, dtype=np.uint8), year=columns.year,
+                 workers=columns.workers,
+                 money=np.stack([columns.money[name] for name in MONEY_FIELDS]),
+                 present=np.stack([columns.present[name] for name in OPTIONAL_FIELDS]),
+                 codes=np.stack([columns.codes[name] for name in KEY_FIELDS]))

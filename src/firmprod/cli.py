@@ -126,6 +126,12 @@ def _basis(flag: str) -> measures.ValueBasis:
     return measures.ValueBasis[_BASIS_FLAGS[flag]]
 
 
+def _require_macro(basis: str, macro_path: str | None) -> None:
+    """Refuse the labor-share basis without the macro context it values records by."""
+    if basis == "av-share" and macro_path is None:
+        raise ConfigError("--basis av-share needs --macro")
+
+
 def _load_macro(macro_path: str | None) -> measures.MacroContext | None:
     return measures.MacroContext.from_json(macro_path) if macro_path else None
 
@@ -135,6 +141,7 @@ def _evaluate_input(input_path: str, schema_path: str | None, strict: bool,
                     year: int | None = None
                     ) -> tuple[measures.Evaluation, measures.MacroContext | None]:
     """Parse the input, keep one year if asked, and evaluate each record once."""
+    _require_macro(basis, macro_path)
     dataset = _load(input_path, schema_path, strict).dataset
     ctx = _load_macro(macro_path)
     records = dataset if year is None else filter_dataset(dataset, year=year)
@@ -179,7 +186,10 @@ def synth_cmd(spec_path: str, seed: int | None, out_dir: str) -> None:
     """Generate a synthetic firm dataset (written in the ingest CSV schema)."""
     spec = synth.SynthSpec.from_json(spec_path)
     if seed is not None:
-        spec = replace(spec, seed=seed)
+        try:
+            spec = replace(spec, seed=seed)
+        except ValidationError as exc:
+            raise ConfigError(f"bad --seed {seed}: {exc}") from exc
     try:
         dataset = synth.gen_cobb_douglas_firms(spec)
     except ValidationError as exc:  # the spec alone decides every generated value
@@ -296,6 +306,7 @@ def fit_production(input_path: str, schema_path: str | None, macro_path: str | N
     """Cobb-Douglas fits per (country, sector_class, year) stratum."""
     if not rts_tol > 0:  # also refuses nan
         raise ConfigError(f"--rts-tol must be > 0, got {rts_tol}")
+    _require_macro(basis, macro_path)
     report = _load(input_path, schema_path, strict)
     ctx = _load_macro(macro_path)
     fits, failures = production.fit_by_stratum(report.dataset, _basis(basis), ctx,

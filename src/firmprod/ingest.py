@@ -102,6 +102,8 @@ class CsvSchema:
             raise SchemaError(f"delimiter must be one character, got {self.delimiter!r}")
         if self.delimiter in '"\r\n':
             raise SchemaError(f"delimiter can not be a quote, CR or LF, got {self.delimiter!r}")
+        if self.delimiter == "#":  # a row whose first cell is empty would read as a comment
+            raise SchemaError("delimiter can not be '#', which starts a comment line")
         if not (isinstance(self.year_range, (tuple, list)) and len(self.year_range) == 2
                 and all(type(y) is int for y in self.year_range)):
             raise SchemaError(f"year_range must be two integers, got {self.year_range!r}")

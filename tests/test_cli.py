@@ -123,6 +123,30 @@ def test_seed_override_changes_output(runner):
         assert Path("a/firms.csv").read_text() != Path("b/firms.csv").read_text()
 
 
+def test_a_negative_seed_flag_is_a_config_error(runner):
+    with runner.isolated_filesystem():
+        Path("spec.json").write_text(json.dumps(SYNTH_SPEC))
+        result = runner.invoke(main, ["synth", "--spec", "spec.json", "--seed", "-1",
+                                      "--out", "out"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            "error (config): bad --seed -1: seed must be a non-negative integer\n")
+        assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("command", ["measures", "fit-production", "fit-pareto",
+                                     "pareto-series", "prod-series", "size-sweep"])
+def test_the_labor_share_basis_without_macro_is_a_config_error(command, runner):
+    extra = ["--thresholds", "0,10"] if command == "size-sweep" else []
+    with runner.isolated_filesystem():
+        Path("firms.csv").write_bytes(b"\xff\xfe not UTF-8, a data error once read\n")
+        result = runner.invoke(main, [command, "--input", "firms.csv", "--basis", "av-share",
+                                      *extra, "--out", "out"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error (config): --basis av-share needs --macro\n"
+        assert sorted(os.listdir()) == ["firms.csv"]  # no table, no cache: input unread
+
+
 def test_measures_emits_gdp_coverage_with_macro(runner):
     with runner.isolated_filesystem():
         setup_data(runner)
@@ -388,6 +412,7 @@ def test_a_non_finite_or_non_integer_scenario_value_is_refused(firm, top, code, 
     ("ingest", "--schema", '{"delimiter": "\\""}'),
     ("ingest", "--schema", '{"delimiter": "\\r"}'),
     ("ingest", "--schema", '{"delimiter": "\\n"}'),
+    ("ingest", "--schema", '{"delimiter": "#"}'),
     ("ingest", "--schema", '{"year_range": 5}'),
     ("ingest", "--schema", '{"columns": 5}'),
     ("measures", "--macro", '"entries"'),
@@ -409,7 +434,7 @@ def test_a_non_finite_or_non_integer_scenario_value_is_refused(firm, top, code, 
     ("synth", "--spec", '{"n": 5, "size_dist": {"kind": "fixed", "workers": 1e300}}'),
     ("synth", "--spec", '{"n": 5, "capital_rule": {"exponent": 400}}'),
 ], ids=["schema-truncated", "macro-truncated", "spec-truncated", "scalar-size-dist",
-        "empty-delimiter", "quote-delimiter", "cr-delimiter", "lf-delimiter",
+        "empty-delimiter", "quote-delimiter", "cr-delimiter", "lf-delimiter", "hash-delimiter",
         "scalar-year-range", "scalar-columns", "macro-string", "float-n", "bool-n", "float-seed", "float-n-sectors", "float-year",
         "string-log-a", "null-alpha", "string-beta", "string-mean-log", "string-exponent",
         "nan-alpha", "bool-noise-sigma", "overflowing-value", "infinite-workers",
@@ -423,6 +448,8 @@ def test_malformed_config_file_is_a_config_error(command, option, text, tmp_path
     assert result.stderr.startswith("error (config): config.json: ")
     if text.startswith('{"delimiter": "\\'):  # a quote, CR or LF
         assert "delimiter can not be a quote, CR or LF" in result.stderr
+    if text == '{"delimiter": "#"}':
+        assert "delimiter can not be '#'" in result.stderr
     assert "Traceback" not in result.stderr
 
 
@@ -650,21 +677,40 @@ def test_a_value_that_overflows_is_not_fitted(runner, args, code, message, rows)
             assert read_rows(Path("out", rows)) == []
 
 
-@pytest.mark.parametrize("args, table, cell", [
+#: Two firms of one sector whose pooled value overflows: command, table, cell.
+_OVERFLOWING_SUMS = pytest.mark.parametrize("args, table, cell", [
     (["measures"], "sector_productivity.csv", "total_value"),
     (["prod-series"], "productivity_series.csv", "total_value"),
     (["size-sweep", "--thresholds", "1,3"], "size_sweep.csv", "productivity"),
 ], ids=["measures", "prod-series", "size-sweep"])
+_BIG_FIRMS = (_HEADER + "F1,2003,JP,s,manufacturing,1e308,0,2\n"
+              "F2,2003,JP,s,manufacturing,1e308,0,3\n")
+
+
+@_OVERFLOWING_SUMS
 def test_a_pooled_sum_that_overflows_is_inf_without_a_warning(runner, args, table, cell):
     with runner.isolated_filesystem():
-        Path("big.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,1e308,0,2\n"
-                                   "F2,2003,JP,s,manufacturing,1e308,0,3\n")
+        Path("big.csv").write_text(_BIG_FIRMS)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = runner.invoke(main, [*args, "--input", "big.csv", "--out", "out"])
         assert result.exit_code == 0, result.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert read_rows(Path("out", table))[0][cell] == "inf"
+
+
+def _refuse_constant(name: str):
+    raise AssertionError(f"bare {name} is not RFC 8259 JSON")
+
+
+@_OVERFLOWING_SUMS
+def test_json_tables_write_an_overflowed_cell_as_its_csv_text(runner, args, table, cell):
+    with runner.isolated_filesystem():
+        Path("big.csv").write_text(_BIG_FIRMS)
+        run_ok(runner, [*args, "--input", "big.csv", "--out", "out", "--format", "json"])
+        docs = {path.name: json.loads(path.read_text(), parse_constant=_refuse_constant)
+                for path in Path("out").iterdir()}
+        assert docs[Path(table).with_suffix(".json").name]["data"][0][cell] == "inf"
 
 
 def test_ingest_summary_contents(runner):

@@ -49,8 +49,8 @@ def _oracle_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence[obje
 def _oracle_json(path: Path, columns: Sequence[str], rows: Sequence[Sequence[object]],
                  cfg_hash: str) -> None:
     def jsonable(value: object) -> object:
-        if isinstance(value, float):
-            return float(format_cell(value))
+        if isinstance(value, float):  # a non-finite float keeps its CSV text
+            return float(format_cell(value)) if math.isfinite(value) else format_cell(value)
         return value
 
     doc = {
@@ -59,7 +59,8 @@ def _oracle_json(path: Path, columns: Sequence[str], rows: Sequence[Sequence[obj
         "rows": len(rows),
         "data": [{col: jsonable(cell) for col, cell in zip(columns, row)} for row in rows],
     }
-    _emit.atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _emit.atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+                            + "\n")
 
 
 def _cells(column: object) -> list[object]:
@@ -119,6 +120,18 @@ def test_special_values_match_the_row_writer(tmp_path):
     blanked = BlankableFloats(floats.copy(), np.array([i % 3 != 0 for i in range(len(floats))]))
     _same_bytes(tmp_path, ("mixed", "floats", "ints", "blank", "u32"),
                 Table(special, floats, ints, blanked, ints.astype(np.uint32) % 1000))
+
+
+def test_a_non_finite_json_cell_is_the_text_of_its_csv_cell(tmp_path):
+    values = np.array([math.inf, -math.inf, math.nan, 1.5])
+    table = Table(values, BlankableFloats(values, np.array([True, True, True, False])),
+                  values.tolist())
+    path = write_table(tmp_path / "t", ("a", "b", "c"), table, "h", "json")
+    text = path.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    rows = json.loads(text)["data"]
+    assert [list(row.values()) for row in rows] == [
+        ["inf", "inf", "inf"], ["-inf", "-inf", "-inf"], ["nan", "nan", "nan"], [1.5, None, 1.5]]
 
 
 def test_numpy_scalars_in_a_text_column_match_the_row_writer(tmp_path):

@@ -964,6 +964,12 @@ def test_two_fields_can_not_read_one_column():
     assert CsvSchema(columns={"revenue": "cogs", "cogs": "Costs"}).columns["cogs"] == "Costs"
 
 
+def test_a_hash_delimiter_is_refused():
+    # A row whose first cell is empty would start with '#' and be dropped as a comment.
+    with pytest.raises(SchemaError, match="delimiter can not be '#'"):
+        CsvSchema(delimiter="#")
+
+
 def test_records_of_a_parsed_dataset_are_views_shared_with_its_filters():
     text = HEADER + "\n" + "".join(
         f"F{i},2003,JP,s,manufacturing,{100 + i},40,{i},,{i},,,,\n" for i in range(6))

@@ -228,9 +228,29 @@ def _resave(path: Path, change) -> None:
     _write(path, np.savez, **arrays)
 
 
-def _reverse_offsets(arrays: dict) -> None:
-    offsets = arrays["firm_id_offsets"]
-    offsets[1:-1] = offsets[1:-1][::-1].copy()
+def _resave_text(path: Path, change) -> None:
+    """Store a valid file again after ``change`` edits its JSON document."""
+    def edit(arrays: dict) -> None:
+        doc = json.loads(arrays["text"].tobytes())
+        change(doc)
+        arrays["text"] = np.frombuffer(json.dumps(doc).encode("utf-8"), dtype=np.uint8)
+    _resave(path, edit)
+
+
+def _names_in(arrays: dict) -> int:
+    return len(json.loads(arrays["text"].tobytes())["names"])
+
+
+def _set_in_text(*at, value):
+    """A damage that sets the value found by the keys and indices ``at`` in the
+    JSON document of a valid file."""
+    *parents, last = at
+
+    def change(doc: dict) -> None:
+        for step in parents:
+            doc = doc[step]
+        doc[last] = value
+    return lambda path: _resave_text(path, change)
 
 
 DAMAGE = {
@@ -240,7 +260,7 @@ DAMAGE = {
     "foreign-npy": lambda path: _write(path, np.save, np.arange(10)),
     "foreign-npz": lambda path: _write(path, np.savez, year=np.arange(3)),
     "pickled": lambda path: _resave(path, lambda a: a.update(
-        firm_id=np.array([{"not": "data"}], dtype=object))),
+        text=np.array([{"not": "data"}], dtype=object))),
     "extra-array": lambda path: _resave(path, lambda a: a.update(extra=np.zeros(1))),
     "wrong-dtype": lambda path: _resave(path, lambda a: a.update(
         year=a["year"].astype(np.int32))),
@@ -248,14 +268,33 @@ DAMAGE = {
         year=a["year"].astype(">i8"))),
     "short-column": lambda path: _resave(path, lambda a: a.update(workers=a["workers"][1:])),
     "code-out-of-range": lambda path: _resave(path, lambda a: a.update(
-        codes=a["codes"] + len(a["names_offsets"]))),
-    "offsets-not-monotone": lambda path: _resave(path, _reverse_offsets),
-    "offsets-past-end": lambda path: _resave(path, lambda a: a.update(
-        names_offsets=a["names_offsets"] + 1)),
+        codes=a["codes"] + _names_in(a))),
     "not-utf8": lambda path: _resave(path, lambda a: a.update(
-        names=np.full_like(a["names"], 0xFF))),
+        text=np.full_like(a["text"], 0xFF))),
+    "not-json": lambda path: _resave(path, lambda a: a.update(
+        text=np.frombuffer(b"not json", dtype=np.uint8))),
+    "not-an-object": lambda path: _resave(path, lambda a: a.update(
+        text=np.frombuffer(b"[[], [], []]", dtype=np.uint8))),
+    "short-id-list": lambda path: _resave_text(path, lambda doc: doc["firm_id"].pop()),
+    "id-not-text": _set_in_text("firm_id", 0, value=7),
+    "name-not-text": _set_in_text("names", 0, value=None),
+    "ids-not-a-list": lambda path: _resave_text(path, lambda doc: doc.update(
+        firm_id="x" * len(doc["firm_id"]))),
+    "names-not-a-list": lambda path: _resave_text(path, lambda doc: doc.update(
+        names="".join(doc["names"]))),
+    "skips-not-a-list": _set_in_text("skipped", value=""),
+    "reason-not-text": _set_in_text("skipped", 0, 1, value=["why"]),
+    "line-is-text": _set_in_text("skipped", 0, 0, value="20"),
+    "line-is-bool": _set_in_text("skipped", 0, 0, value=True),
+    "skip-not-a-pair": _set_in_text("skipped", 0, value=[20]),
     "directory": lambda path: (path.unlink(), path.mkdir()),
 }
+# Each stored array missing, and each with a dtype it is never stored with.
+for _name in _parse_cache._LAYOUT:
+    DAMAGE[f"missing-{_name}"] = lambda path, name=_name: _resave(
+        path, lambda a: a.pop(name))
+    DAMAGE[f"float32-{_name}"] = lambda path, name=_name: _resave(
+        path, lambda a: a.update({name: a[name].astype(np.float32)}))
 
 
 @pytest.mark.parametrize("damage", list(DAMAGE))
@@ -271,6 +310,68 @@ def test_a_damaged_or_foreign_cache_file_is_a_miss(workdir, parses, damage):
         parses.clear()
         assert invoke(*args) == clean
         assert parses == []
+
+
+def test_a_file_stored_again_unchanged_is_a_hit(workdir, parses):
+    """The damage helpers change a file only where a case asks them to."""
+    args = ["measures", *write_input("hostile")]
+    clean = invoke(*args)
+    (path,) = cache_files()
+    _resave_text(path, lambda doc: None)
+    parses.clear()
+    assert invoke(*args) == clean
+    assert parses == []
+
+
+def test_a_stale_file_is_a_miss_after_reading_only_its_key(workdir, parses, monkeypatch):
+    write_input("hostile")
+    cli._load("in.csv", None, strict=False)
+    Path("in.csv").write_text(hostile_csv().replace("F0000", "G0000"), encoding="utf-8")
+    reads = []
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def counting(self, name):
+        reads.append(name)
+        return getitem(self, name)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+    parses.clear()
+    cli._load("in.csv", None, strict=False)
+    assert (reads, len(parses)) == (["key"], 1)
+    reads.clear()
+    parses.clear()
+    cli._load("in.csv", None, strict=False)  # a hit reads every array
+    assert (sorted(reads), parses) == (sorted(_parse_cache._LAYOUT), [])
+
+
+def _first_layout(arrays: dict) -> None:
+    """Turn the arrays of a valid file into the 13 arrays of firmprod-parse-cache/1,
+    whose texts were UTF-8 bytes plus int64 offsets; the key stays."""
+    doc = json.loads(arrays.pop("text").tobytes())
+    texts = {"firm_id": doc["firm_id"], "names": doc["names"],
+             "skipped_reason": [reason for _, reason in doc["skipped"]]}
+    for name, strings in texts.items():
+        data = [text.encode("utf-8") for text in strings]
+        arrays[name] = np.frombuffer(b"".join(data), dtype=np.uint8)
+        arrays[f"{name}_offsets"] = np.cumsum([0, *map(len, data)], dtype=np.int64)
+    arrays["skipped_line"] = np.array([line for line, _ in doc["skipped"]], dtype=np.int64)
+
+
+def test_a_file_of_the_first_layout_is_a_miss_and_is_replaced(workdir, parses):
+    args = ["measures", *write_input("hostile")]
+    clean = invoke(*args)
+    (path,) = cache_files()
+    _resave(path, _first_layout)
+    with np.load(path) as stored:
+        assert len(stored.files) == 13
+    parses.clear()
+    assert invoke(*args) == clean
+    assert len(parses) == 1
+    with np.load(path) as stored:
+        assert sorted(stored.files) == sorted(_parse_cache._LAYOUT)
+    parses.clear()
+    assert invoke(*args) == clean
+    assert parses == []
 
 
 def test_a_file_that_changes_while_it_is_parsed_is_not_stored(workdir, monkeypatch):
