@@ -16,10 +16,11 @@ command loads only the layers it calls.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from contextlib import suppress
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from ._emit import BlankableFloats, Table, atomic_open, config_hash, header_line
 from .errors import ConfigError, DataError, NumericalError, ValidationError
 from .ingest import (
     CsvSchema,
+    Dataset,
     ParseReport,
     filter_dataset,
     parse_firm_records,
@@ -113,6 +115,8 @@ _mode_option = click.option(
     help="Aggregate productivity as a pooled ratio or a mean of firm ratios.",
 )
 _year_option = click.option("--year", type=int, default=None, help="Restrict to one year.")
+_level_option = click.option("--level", type=click.Choice(["firm", "sector"]), default="firm",
+                             show_default=True, help="Rank firms or sector aggregates.")
 
 
 def _load(input_path: str, schema_path: str | None, strict: bool) -> ParseReport:
@@ -126,26 +130,66 @@ def _basis(flag: str) -> measures.ValueBasis:
     return measures.ValueBasis[_BASIS_FLAGS[flag]]
 
 
-def _require_macro(basis: str, macro_path: str | None) -> None:
-    """Refuse the labor-share basis without the macro context it values records by."""
-    if basis == "av-share" and macro_path is None:
-        raise ConfigError("--basis av-share needs --macro")
+def _config_hash() -> str:
+    """The config hash of the running command: its name and each of its options
+    but ``--strict``, ``--out`` and ``--format``, keyed by long flag name."""
+    ctx = click.get_current_context()
+    payload: dict[str, object] = {"command": ctx.command.name}
+    for param in ctx.command.params:
+        key = param.opts[0].removeprefix("--").replace("-", "_")
+        if key not in ("strict", "out", "format"):
+            payload[key] = ctx.params[param.name]
+    return config_hash(payload)
 
 
-def _load_macro(macro_path: str | None) -> measures.MacroContext | None:
-    return measures.MacroContext.from_json(macro_path) if macro_path else None
+@dataclass(frozen=True)
+class _Front:
+    """The options every analysis command shares, and its one way to load its input."""
+
+    input_path: str
+    schema_path: str | None
+    macro_path: str | None
+    basis: str
+    strict: bool
+    out_dir: str
+    fmt: str
+    year: int | None = None  # on the commands that have --year
+
+    def load(self) -> tuple[Dataset, measures.MacroContext | None]:
+        """The input's records, of ``--year`` alone if given, and the ``--macro`` context."""
+        if self.basis == "av-share" and self.macro_path is None:
+            raise ConfigError("--basis av-share needs --macro")
+        records = _load(self.input_path, self.schema_path, self.strict).dataset
+        ctx = measures.MacroContext.from_json(self.macro_path) if self.macro_path else None
+        if self.year is not None:
+            records = filter_dataset(records, year=self.year)
+        return records, ctx
+
+    def evaluate(self) -> tuple[measures.Evaluation, measures.MacroContext | None]:
+        """Each loaded record evaluated once under ``--basis``, and the macro context."""
+        records, ctx = self.load()
+        return measures.evaluate(records, _basis(self.basis), ctx), ctx
+
+    def write(self, name: str, columns: tuple[str, ...], table: Table) -> Path:
+        return write_table(Path(self.out_dir) / name, columns, table, _config_hash(), self.fmt)
 
 
-def _evaluate_input(input_path: str, schema_path: str | None, strict: bool,
-                    macro_path: str | None, basis: str,
-                    year: int | None = None
-                    ) -> tuple[measures.Evaluation, measures.MacroContext | None]:
-    """Parse the input, keep one year if asked, and evaluate each record once."""
-    _require_macro(basis, macro_path)
-    dataset = _load(input_path, schema_path, strict).dataset
-    ctx = _load_macro(macro_path)
-    records = dataset if year is None else filter_dataset(dataset, year=year)
-    return measures.evaluate(records, _basis(basis), ctx), ctx
+def _analysis_command(name: str, *options):
+    """Register an analysis command with ``--input --schema --macro --basis``, its
+    own ``options``, then ``--strict --out --format``. The function is called
+    with a :class:`_Front` of the shared options and ``--year``, then its others."""
+    def register(fn):
+        @functools.wraps(fn)
+        def command(**params):
+            front = {field.name: params.pop(field.name) for field in fields(_Front)
+                     if field.name in params}
+            return fn(_Front(**front), **params)
+
+        for option in reversed((_input_option, _schema_option, _macro_option, _basis_option,
+                                *options, _strict_option, _out_option, _format_option)):
+            command = option(command)
+        return main.command(name)(command)
+    return register
 
 
 def _echo_excluded(ev: measures.Evaluation) -> None:
@@ -229,35 +273,20 @@ def ingest(input_path: str, schema_path: str | None, strict: bool, out_dir: str,
     click.echo(f"parsed {len(dataset)} records ({report.n_skipped} skipped); wrote {target}")
 
 
-@main.command("measures")
-@_input_option
-@_schema_option
-@_macro_option
-@_basis_option
-@_year_option
-@_mode_option
-@_strict_option
-@_out_option
-@_format_option
-def measures_cmd(input_path: str, schema_path: str | None, macro_path: str | None,
-                 basis: str, year: int | None, mode: str, strict: bool, out_dir: str,
-                 fmt: str) -> None:
+@_analysis_command("measures", _year_option, _mode_option)
+def measures_cmd(front: _Front, mode: str) -> None:
     """Per-firm and per-sector productivity tables plus GDP coverage."""
-    ev, ctx = _evaluate_input(input_path, schema_path, strict, macro_path, basis, year)
-    cfg = config_hash({"command": "measures", "input": input_path, "schema": schema_path,
-                       "macro": macro_path, "basis": basis, "year": year, "mode": mode})
-
-    out = Path(out_dir)
+    ev, ctx = front.evaluate()
     firm_table = Table(
         *(ev.column(name) for name in ("firm_id", "year", "country", "sector", "sector_class")),
         ev.workers, ev.values, ev.productivity,
         _log10_where_positive(ev.workers), _log10_where_positive(ev.productivity),
     )
-    firm_target = write_table(
-        out / "firm_productivity",
+    front.write(
+        "firm_productivity",
         ("firm_id", "year", "country", "sector", "sector_class", "workers",
          "value", "productivity", "log10_workers", "log10_productivity"),
-        firm_table, cfg, fmt,
+        firm_table,
     )
 
     aggregates = dict(sorted(ev.pool_by("sector", mode).items()))
@@ -265,55 +294,43 @@ def measures_cmd(input_path: str, schema_path: str | None, macro_path: str | Non
                      "productivity")
     sector_table = Table(list(aggregates), *pooled,
                          _log10_where_positive(np.array(pooled[-1], dtype=float)))
-    write_table(
-        out / "sector_productivity",
+    front.write(
+        "sector_productivity",
         ("sector", "n_firms", "total_value", "total_workers", "productivity",
          "log10_productivity"),
-        sector_table, cfg, fmt,
+        sector_table,
     )
 
     if ctx is not None:
         # Coverage needs an added value: gross margin falls back to the labor-share form.
         coverage = ev
-        if basis == "gm":
+        if front.basis == "gm":
             coverage = measures.evaluate(ev, measures.ValueBasis.ADDED_VALUE_LABOR_SHARE, ctx)
         coverage_rows = []
         for (country, yr), agg in sorted(coverage.pool_by(("country", "year")).items()):
             with suppress(DataError):  # a cell without GDP is left out
                 coverage_rows.append((country, yr, agg.total_value / ctx.gdp(country, yr)))
         if coverage_rows:
-            write_table(out / "gdp_coverage", ("country", "year", "coverage"),
-                        Table(*_transpose(coverage_rows, 3)), cfg, fmt)
+            front.write("gdp_coverage", ("country", "year", "coverage"),
+                        Table(*_transpose(coverage_rows, 3)))
 
     _echo_excluded(ev)
-    click.echo(f"wrote measures for {len(ev.rows)} firms to {out} ({firm_target.suffix[1:]})")
+    click.echo(f"wrote measures for {len(ev.rows)} firms to {Path(front.out_dir)} ({front.fmt})")
 
 
-@main.command("fit-production")
-@_input_option
-@_schema_option
-@_macro_option
-@_basis_option
-@click.option("--pool-years", is_flag=True, help="Fit one model across all years per stratum.")
-@click.option("--rts-tol", type=float, default=0.05, show_default=True,
-              help="Half-width of the constant-returns band around alpha + beta = 1.")
-@_strict_option
-@_out_option
-@_format_option
-def fit_production(input_path: str, schema_path: str | None, macro_path: str | None,
-                   basis: str, pool_years: bool, rts_tol: float, strict: bool,
-                   out_dir: str, fmt: str) -> None:
+@_analysis_command(
+    "fit-production",
+    click.option("--pool-years", is_flag=True, help="Fit one model across all years per stratum."),
+    click.option("--rts-tol", type=float, default=0.05, show_default=True,
+                 help="Half-width of the constant-returns band around alpha + beta = 1."),
+)
+def fit_production(front: _Front, pool_years: bool, rts_tol: float) -> None:
     """Cobb-Douglas fits per (country, sector_class, year) stratum."""
     if not rts_tol > 0:  # also refuses nan
         raise ConfigError(f"--rts-tol must be > 0, got {rts_tol}")
-    _require_macro(basis, macro_path)
-    report = _load(input_path, schema_path, strict)
-    ctx = _load_macro(macro_path)
-    fits, failures = production.fit_by_stratum(report.dataset, _basis(basis), ctx,
+    records, ctx = front.load()
+    fits, failures = production.fit_by_stratum(records, _basis(front.basis), ctx,
                                                pool_years=pool_years)
-    cfg = config_hash({"command": "fit-production", "input": input_path,
-                       "schema": schema_path, "macro": macro_path, "basis": basis,
-                       "pool_years": pool_years, "rts_tol": rts_tol})
     regimes = [production.classify_returns(fit, rts_tol) for fit in fits.values()]
     table = Table(
         *_transpose(fits, 3),
@@ -322,158 +339,112 @@ def fit_production(input_path: str, schema_path: str | None, macro_path: str | N
         [regime.sum_elasticities for regime in regimes],
         [regime.classification.value for regime in regimes],
     )
-    target = write_table(
-        Path(out_dir) / "production_fits",
+    target = front.write(
+        "production_fits",
         ("country", "sector_class", "year", "log_a", "alpha", "beta",
          "se_log_a", "se_alpha", "se_beta", "r2", "n_used", "excluded",
          "sum_elasticities", "returns_to_scale"),
-        table, cfg, fmt,
+        table,
     )
     for key, reason in failures.items():
         click.echo(f"skipped stratum {key}: {reason}", err=True)
     click.echo(f"fitted {len(table)} strata; wrote {target}")
 
 
-@main.command("fit-pareto")
-@_input_option
-@_schema_option
-@_macro_option
-@_basis_option
-@click.option("--level", type=click.Choice(["firm", "sector"]), default="firm",
-              show_default=True, help="Rank firms or sector aggregates.")
-@click.option("--tail", "tail_text", default=None,
-              help="Fit range: 'whole', 'frac:0.1', or 'ranks:a..b' "
-                   "(default: frac:0.1 for firms, whole for sectors).")
-@_year_option
-@_strict_option
-@_out_option
-@_format_option
-def fit_pareto_cmd(input_path: str, schema_path: str | None, macro_path: str | None,
-                   basis: str, level: str, tail_text: str | None, year: int | None,
-                   strict: bool, out_dir: str, fmt: str) -> None:
+@_analysis_command(
+    "fit-pareto",
+    _level_option,
+    click.option("--tail", "tail_text", default=None,
+                 help="Fit range: 'whole', 'frac:0.1', or 'ranks:a..b' "
+                      "(default: frac:0.1 for firms, whole for sectors)."),
+    _year_option,
+)
+def fit_pareto_cmd(front: _Front, level: str, tail_text: str | None) -> None:
     """Rank-size series and power-law tail fit of productivity."""
-    ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis, year)
+    ev, _ = front.evaluate()
     tail = _tail(tail_text, level)
     series = pareto.rank_size(pareto.level_values(ev, level))
     fit = pareto.fit_pareto(series, tail)
 
-    cfg = config_hash({"command": "fit-pareto", "input": input_path, "schema": schema_path,
-                       "macro": macro_path, "basis": basis, "level": level,
-                       "tail": tail_text, "year": year})
-    out = Path(out_dir)
     # A rank-size series holds positive values only, so no log10 cell is blank.
     series_table = Table(series.ranks, series.values,
                          np.log10(series.ranks), np.log10(series.values))
-    write_table(out / "rank_size", ("rank", "value", "log10_rank", "log10_value"),
-                series_table, cfg, fmt)
+    front.write("rank_size", ("rank", "value", "log10_rank", "log10_value"), series_table)
     fit_row = Table.row(fit.mu, fit.se_mu, fit.r2, fit.intercept, -fit.mu, fit.min_rank,
                         fit.max_rank, fit.tail_fraction, fit.n, series.excluded)
-    target = write_table(
-        out / "pareto_fit",
+    target = front.write(
+        "pareto_fit",
         ("mu", "se_mu", "r2", "intercept", "slope", "min_rank", "max_rank",
          "tail_fraction", "n", "excluded"),
-        fit_row, cfg, fmt,
+        fit_row,
     )
     _echo_excluded(ev)
     click.echo(f"mu = {fit.mu:.6g} (se {fit.se_mu:.2g}, r2 {fit.r2:.4f}); wrote {target}")
 
 
-@main.command("pareto-series")
-@_input_option
-@_schema_option
-@_macro_option
-@_basis_option
-@click.option("--level", type=click.Choice(["firm", "sector"]), default="firm",
-              show_default=True, help="Rank firms or sector aggregates.")
-@click.option("--tail", "tail_text", default=None,
-              help="Fit range (defaults as in fit-pareto).")
-@_strict_option
-@_out_option
-@_format_option
-def pareto_series(input_path: str, schema_path: str | None, macro_path: str | None,
-                  basis: str, level: str, tail_text: str | None, strict: bool,
-                  out_dir: str, fmt: str) -> None:
+@_analysis_command(
+    "pareto-series",
+    _level_option,
+    click.option("--tail", "tail_text", default=None,
+                 help="Fit range (defaults as in fit-pareto)."),
+)
+def pareto_series(front: _Front, level: str, tail_text: str | None) -> None:
     """Tail-exponent fit per year."""
-    ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
+    ev, _ = front.evaluate()
     tail = _tail(tail_text, level)
     per_year = ev.split("year")
     fits, failures = pareto.fit_years(per_year, lambda part: pareto.level_values(part, level),
                                       tail)
 
-    cfg = config_hash({"command": "pareto-series", "input": input_path,
-                       "schema": schema_path, "macro": macro_path, "basis": basis,
-                       "level": level, "tail": tail_text})
     table = Table(list(fits), *_fields(fits.values(), "mu", "se_mu", "r2", "tail_fraction"))
-    target = write_table(Path(out_dir) / "pareto_series",
-                         ("year", "mu", "se_mu", "r2", "tail_fraction"), table, cfg, fmt)
+    target = front.write("pareto_series", ("year", "mu", "se_mu", "r2", "tail_fraction"),
+                         table)
     for yr, reason in failures.items():
         click.echo(f"year {yr}: no fit: {reason}", err=True)
     _echo_excluded(ev)
     click.echo(f"fitted {len(table)} years; wrote {target}")
 
 
-@main.command("prod-series")
-@_input_option
-@_schema_option
-@_macro_option
-@_basis_option
-@_mode_option
-@_strict_option
-@_out_option
-@_format_option
-def prod_series(input_path: str, schema_path: str | None, macro_path: str | None,
-                basis: str, mode: str, strict: bool, out_dir: str, fmt: str) -> None:
+@_analysis_command("prod-series", _mode_option)
+def prod_series(front: _Front, mode: str) -> None:
     """Pooled productivity by sector class over time."""
-    ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis)
+    ev, _ = front.evaluate()
     series = dict(sorted(ev.pool_by(("year", "sector_class"), mode).items()))
     table = Table(
         *_transpose(series, 2),
         *_fields(series.values(), "n_firms", "total_value", "total_workers", "productivity"),
     )
 
-    cfg = config_hash({"command": "prod-series", "input": input_path, "schema": schema_path,
-                       "macro": macro_path, "basis": basis, "mode": mode})
-    target = write_table(
-        Path(out_dir) / "productivity_series",
+    target = front.write(
+        "productivity_series",
         ("year", "sector_class", "n_firms", "total_value", "total_workers", "productivity"),
-        table, cfg, fmt,
+        table,
     )
     _echo_excluded(ev)
     click.echo(f"wrote {len(table)} series points to {target}")
 
 
-@main.command("size-sweep")
-@_input_option
-@_schema_option
-@_macro_option
-@_basis_option
-@click.option("--thresholds", required=True,
-              help="Strictly ascending worker thresholds, e.g. '0,10,50,100'.")
-@_mode_option
-@_year_option
-@_strict_option
-@_out_option
-@_format_option
-def size_sweep_cmd(input_path: str, schema_path: str | None, macro_path: str | None,
-                   basis: str, thresholds: str, mode: str, year: int | None,
-                   strict: bool, out_dir: str, fmt: str) -> None:
+@_analysis_command(
+    "size-sweep",
+    click.option("--thresholds", required=True,
+                 help="Strictly ascending worker thresholds, e.g. '0,10,50,100'."),
+    _mode_option,
+    _year_option,
+)
+def size_sweep_cmd(front: _Front, thresholds: str, mode: str) -> None:
     """Pooled productivity of firms at or above each worker-count threshold."""
     try:
         cuts = [int(part) for part in thresholds.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --thresholds {thresholds!r}: {exc}") from exc
-    ev, _ = _evaluate_input(input_path, schema_path, strict, macro_path, basis, year)
+    ev, _ = front.evaluate()
     try:
         sweep = ev.sweep(cuts, mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    cfg = config_hash({"command": "size-sweep", "input": input_path, "schema": schema_path,
-                       "macro": macro_path, "basis": basis, "thresholds": thresholds,
-                       "mode": mode, "year": year})
     table = Table(list(sweep), list(sweep.values()))
-    target = write_table(Path(out_dir) / "size_sweep", ("threshold", "productivity"),
-                         table, cfg, fmt)
+    target = front.write("size_sweep", ("threshold", "productivity"), table)
     _echo_excluded(ev)
     click.echo(f"wrote {len(table)} sweep points to {target}")
 
@@ -489,21 +460,22 @@ def _scenario_from_json(path: str) -> tuple[list[equilibrium.TheoryFirm],
         if not isinstance(rule_raw, dict):
             raise ConfigError(f"{path}: step_rule must be a JSON object, got {rule_raw!r}")
         kind = rule_raw.get("kind", "adaptive")
-        if kind == "adaptive":
-            rule = equilibrium.AdaptiveStep(**{k: v for k, v in rule_raw.items() if k != "kind"})
-        elif kind == "fixed":
-            rule = equilibrium.FixedStep(**{k: v for k, v in rule_raw.items() if k != "kind"})
-        else:
+        if kind not in ("adaptive", "fixed"):
             raise ConfigError(
-                f"{path}: step_rule kind must be 'fixed' or 'adaptive', got {kind!r}"
-            )
-        tol = float(raw.get("tol", 1e-8))
+                f"{path}: step_rule kind must be 'fixed' or 'adaptive', got {kind!r}")
+        step = equilibrium.FixedStep if kind == "fixed" else equilibrium.AdaptiveStep
+        rule = step(**{k: v for k, v in rule_raw.items() if k != "kind"})
+        tol, floor = raw.get("tol", 1e-8), raw.get("labor_floor", 1e-9)
+        for name, value in (("tol", tol), ("labor_floor", floor)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{path}: {name} must be a JSON number, got {value!r}")
+        tol = float(tol)
         if not 0 < tol < math.inf:
             raise ConfigError(f"{path}: tol must be finite and > 0, got {tol}")
         max_iter = raw.get("max_iter", 100_000)
         if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
             raise ConfigError(f"{path}: max_iter must be an integer >= 0, got {max_iter!r}")
-        floor = float(raw.get("labor_floor", 1e-9))
+        floor = float(floor)
         if not 0 <= floor < math.inf:
             raise ConfigError(f"{path}: labor_floor must be finite and >= 0, got {floor}")
     except (TypeError, ValueError, OverflowError) as exc:
@@ -521,7 +493,7 @@ def simulate(scenario_path: str, out_dir: str, fmt: str) -> None:
     firms, rule, tol, max_iter, floor = _scenario_from_json(scenario_path)
     trace = equilibrium.simulate_reallocation(firms, step_rule=rule, tol=tol,
                                               max_iter=max_iter, labor_floor=floor)
-    cfg = config_hash({"command": "simulate", "scenario": scenario_path})
+    cfg = _config_hash()
     out = Path(out_dir)
     trace_columns = ("iteration", "mover_from", "mover_to", "delta_labor", "max_spread",
                      "total_output", "total_labor")

@@ -169,15 +169,19 @@ class _LineFilter:
     """Feeds the csv reader its lines while tracking source line numbers.
 
     A line that would start a record is dropped when it is blank or its
-    first non-blank character is ``#``. A line the reader takes while
-    inside a quoted cell is data, whatever it holds; the reader's consumer
-    sets ``record_start`` after each row (or csv error) it takes. A UTF-8
-    byte-order mark in front of the first line is dropped.
+    first non-blank character is ``#``, and no ``delimiter`` comes before
+    that character: under a tab or space delimiter, a line of delimiters
+    or one whose empty first cell is followed by ``#`` is a row. A line
+    the reader takes while inside a quoted cell is data, whatever it holds;
+    the reader's consumer sets ``record_start`` after each row (or csv
+    error) it takes. A UTF-8 byte-order mark in front of the first line is
+    dropped.
     """
 
-    def __init__(self, lines: Iterable[str]):
+    def __init__(self, lines: Iterable[str], delimiter: str):
         self.lineno = 0
         self.record_start = True
+        self._delimiter = delimiter
         self._lines = self._filter(lines)
 
     def __iter__(self) -> Iterator[str]:
@@ -192,8 +196,9 @@ class _LineFilter:
             if self.record_start:
                 # only a line that starts blank or with '#' can be skipped
                 if not line or line[0] == "#" or line[0].isspace():
-                    stripped = line.strip()
-                    if not stripped or stripped.startswith("#"):
+                    rest = line.lstrip()
+                    if ((not rest or rest[0] == "#")
+                            and self._delimiter not in line[:len(line) - len(rest)]):
                         continue
                 self.record_start = False
             yield line
@@ -430,7 +435,7 @@ def parse_firm_records(
 def _parse_lines(lines: Iterable[str], schema: CsvSchema, strict: bool,
                  provenance: tuple[str, ...]) -> ParseReport:
     """:func:`parse_firm_records` of lines split as by a file opened with ``newline=""``."""
-    line_filter = _LineFilter(lines)
+    line_filter = _LineFilter(lines, schema.delimiter)
     reader = csv.reader(line_filter, delimiter=schema.delimiter)
     skipped: list[RowIssue] = []
 

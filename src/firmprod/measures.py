@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import isfinite
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,13 @@ class MacroEntry:
             raise ValidationError(f"exchange_rate must be > 0, got {self.exchange_rate}")
 
 
+def _number(row: Mapping[str, object], name: str) -> float:
+    value = row[name]
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class MacroContext:
     """Lookup table of :class:`MacroEntry` keyed by (country, year)."""
 
@@ -87,23 +95,26 @@ class MacroContext:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping[str, object]]) -> MacroContext:
+        """Entries from rows that hold ``country`` (a string), ``year`` (an
+        integer) and ``labor_share``, ``gdp`` and ``exchange_rate`` (numbers;
+        the last two may be absent or ``None``). A bool is none of these."""
         entries: dict[tuple[str, int], MacroEntry] = {}
         for row in rows:
             try:
-                country = str(row["country"])
-                year = int(row["year"])  # type: ignore[arg-type]
+                country, year = row["country"], row["year"]
+                if not isinstance(country, str):
+                    raise TypeError(f"country must be a string, got {country!r}")
+                if isinstance(year, bool) or not isinstance(year, Integral):
+                    raise TypeError(f"year must be an integer, got {year!r}")
                 entry = MacroEntry(
-                    labor_share=float(row["labor_share"]),  # type: ignore[arg-type]
-                    gdp=None if row.get("gdp") is None else float(row["gdp"]),  # type: ignore[arg-type]
-                    exchange_rate=(
-                        None
-                        if row.get("exchange_rate") is None
-                        else float(row["exchange_rate"])  # type: ignore[arg-type]
-                    ),
+                    labor_share=_number(row, "labor_share"),
+                    gdp=None if row.get("gdp") is None else _number(row, "gdp"),
+                    exchange_rate=(None if row.get("exchange_rate") is None
+                                   else _number(row, "exchange_rate")),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad macro entry {row!r}: {exc}") from exc
-            entries[(country, year)] = entry
+            entries[(country, int(year))] = entry
         return cls(entries)
 
     @classmethod

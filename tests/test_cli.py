@@ -382,6 +382,10 @@ _SIZES = "firm 'a': scale, capital and labor must be finite and > 0"
     (None, {"tol": "1e400"}, 2, "tol must be finite and > 0, got inf"),
     (None, {"tol": _INF}, 2, "tol must be finite and > 0, got inf"),
     (None, {"labor_floor": _INF}, 2, "labor_floor must be finite and >= 0, got inf"),
+    (None, {"tol": "1e-3"}, 2, "tol must be a JSON number, got '1e-3'"),
+    (None, {"tol": True}, 2, "tol must be a JSON number, got True"),
+    (None, {"labor_floor": True}, 2, "labor_floor must be a JSON number, got True"),
+    (None, {"labor_floor": "0"}, 2, "labor_floor must be a JSON number, got '0'"),
     (None, {"step_rule": {"kind": "bogus"}}, 2,
      "step_rule kind must be 'fixed' or 'adaptive', got 'bogus'"),
     ({"id": 5}, {}, 3, "firm 5: id must be a string"),
@@ -390,6 +394,7 @@ _SIZES = "firm 'a': scale, capital and labor must be finite and > 0"
 ], ids=["nan-scale", "nan-labor", "infinite-capital", "huge-int-labor", "nan-delta",
         "infinite-delta", "overflowing-max-iter", "negative-max-iter", "fractional-max-iter",
         "bool-max-iter", "overflowing-tol", "infinite-tol", "infinite-labor-floor",
+        "string-tol", "bool-tol", "bool-labor-floor", "string-labor-floor",
         "unknown-step-kind", "integer-id", "zero-marginal-product"])
 def test_a_non_finite_or_non_integer_scenario_value_is_refused(firm, top, code, message,
                                                                 tmp_path):
@@ -733,6 +738,82 @@ def test_emitted_files_carry_metadata_header(runner):
         assert head[2].startswith("# rows: ")
 
 
+def _config_lines(out: str) -> set[str]:
+    """The config hashes of the tables under ``out``, CSV or JSON."""
+    found = set()
+    for path in Path(out).iterdir():
+        if path.suffix == ".json":
+            found.add(json.loads(path.read_text())["config"])
+        else:
+            found.update(line.removeprefix("# config: ")
+                         for line in path.read_text().splitlines()[:3]
+                         if line.startswith("# config: "))
+    return found
+
+
+def _config_of(runner, argv, out="out") -> str:
+    """Run an analysis command on ``firms.csv`` and give its one config hash."""
+    shutil.rmtree(out, ignore_errors=True)
+    run_ok(runner, [argv[0], "--input", "firms.csv", *argv[1:], "--out", out])
+    (config,) = _config_lines(out)
+    return config
+
+
+def _pinning_files():
+    shutil.copy(GOLDEN_DIR / "firms.csv", "firms.csv")
+    shutil.copy(GOLDEN_DIR / "firms.csv", "copy.csv")
+    Path("macro.json").write_text(json.dumps(MACRO))
+    Path("schema.json").write_text("{}")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("measures",), "b680e633dfb4"),
+    (("pareto-series",), "3b653972729c"),
+    (("prod-series",), "8c75a3e8c608"),
+    (("size-sweep", "--thresholds", "0,10"), "f2e6fea1019e"),
+    (("fit-production", "--basis", "av-components", "--pool-years", "--rts-tol", "0.1"),
+     "6b20e99fe3b5"),
+    (("fit-pareto", "--macro", "macro.json", "--basis", "av-share", "--level", "sector",
+      "--tail", "whole", "--year", "2003"), "92a5b5d6202a"),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+def test_the_config_line_of_each_analysis_command_is_pinned(runner, argv, config):
+    with runner.isolated_filesystem():
+        _pinning_files()
+        assert _config_of(runner, argv) == config
+
+
+#: Each analysis command's required arguments, and another value for every
+#: option it hashes (``None`` for a flag); ``--input`` to ``--basis`` are shared.
+_FRONT_VALUES = {"--input": "copy.csv", "--schema": "schema.json", "--macro": "macro.json",
+                 "--basis": "av-components"}
+_HASHED = [
+    ("measures", (), {"--year": "2003", "--mode": "mean"}),
+    ("fit-production", (), {"--pool-years": None, "--rts-tol": "0.1"}),
+    ("fit-pareto", (), {"--level": "sector", "--tail": "whole", "--year": "2003"}),
+    ("pareto-series", (), {"--level": "sector", "--tail": "whole"}),
+    ("prod-series", (), {"--mode": "mean"}),
+    ("size-sweep", ("--thresholds", "0,10"),
+     {"--thresholds": "0,5", "--mode": "mean", "--year": "2003"}),
+]
+
+
+@pytest.mark.parametrize("command, required, own", _HASHED, ids=[c for c, _, _ in _HASHED])
+def test_every_hashed_option_moves_the_config_line_and_strict_out_format_do_not(
+        runner, command, required, own):
+    flags = {opt for param in main.commands[command].params for opt in param.opts}
+    assert flags - {"--strict", "--out", "--format"} == {*_FRONT_VALUES, *own}
+    with runner.isolated_filesystem():
+        _pinning_files()
+        base = _config_of(runner, (command, *required))
+        for flag, value in {**_FRONT_VALUES, **own}.items():
+            # a second --input wins; copy.csv holds the same bytes, so its path is what moves
+            changed = (flag,) if value is None else (flag, value)
+            assert _config_of(runner, (command, *required, *changed)) != base, flag
+        for unhashed in (("--strict",), ("--format", "json")):
+            assert _config_of(runner, (command, *required, *unhashed)) == base, unhashed
+        assert _config_of(runner, (command, *required), out="elsewhere") == base
+
+
 @pytest.mark.parametrize("command", ["ingest", "measures"])
 def test_a_schema_reading_one_column_for_two_fields_is_a_config_error(command, tmp_path):
     (tmp_path / "schema.json").write_text(json.dumps({"columns": {"revenue": "X", "cogs": "X"}}))
@@ -758,14 +839,33 @@ def test_an_overflowing_synth_spec_prints_only_its_error_line(spec, reason, tmp_
     assert result.stderr == f"error (config): spec.json: bad synth spec: {reason}\n"
 
 
+_MACRO_ARGV = ("measures", "--input", "firms.csv", "--macro", "macro.json")
+
+
+def _macro_case(entry: dict, message: str):
+    """A one-entry macro file whose ``entry`` values are refused with ``message``."""
+    row = {"country": "JP", "year": 2003, "labor_share": 0.5, "gdp": 1e6, **entry}
+    return _MACRO_ARGV, "macro.json", [row], f"macro.json: bad macro entry {row!r}: {message}"
+
+
 @pytest.mark.parametrize("argv, name, config, message", [
     (("synth", "--spec", "spec.json"), "spec.json", {"n": 5, "size_dist": {"kind": "bogus"}},
      "spec.json: bad synth spec: size_dist kind must be one of "
      "['fixed', 'lognormal', 'pareto'], got 'bogus'"),
-    (("measures", "--input", "firms.csv", "--macro", "macro.json"), "macro.json",
-     [{"country": "JP", "year": 2003}],
+    (_MACRO_ARGV, "macro.json", [{"country": "JP", "year": 2003}],
      "macro.json: bad macro entry {'country': 'JP', 'year': 2003}: 'labor_share'"),
-], ids=["synth-size-dist-kind", "macro-entry"])
+    _macro_case({"year": 2003.7}, "year must be an integer, got 2003.7"),
+    _macro_case({"year": True}, "year must be an integer, got True"),
+    _macro_case({"year": "2003"}, "year must be an integer, got '2003'"),
+    _macro_case({"country": 5}, "country must be a string, got 5"),
+    _macro_case({"labor_share": "0.5"}, "labor_share must be a number, got '0.5'"),
+    _macro_case({"labor_share": True}, "labor_share must be a number, got True"),
+    _macro_case({"gdp": "1e6"}, "gdp must be a number, got '1e6'"),
+    _macro_case({"exchange_rate": False}, "exchange_rate must be a number, got False"),
+    _macro_case({"labor_share": 10**400}, "int too large to convert to float"),
+], ids=["synth-size-dist-kind", "macro-entry", "float-year", "bool-year", "string-year",
+        "number-country", "string-labor-share", "bool-labor-share", "string-gdp",
+        "bool-exchange-rate", "overflowing-labor-share"])
 def test_a_bad_config_entry_names_its_file(argv, name, config, message, tmp_path):
     (tmp_path / name).write_text(json.dumps(config))
     (tmp_path / "firms.csv").write_text(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -654,10 +655,12 @@ def test_oversized_cell_is_a_skipped_row():
 
 
 class _ReferenceLineFilter:
-    """Non-blank, non-comment lines with their line numbers, one call per line."""
+    """Non-blank, non-comment lines with their line numbers, one call per line;
+    a line whose leading whitespace holds the delimiter is never skipped."""
 
-    def __init__(self, lines):
+    def __init__(self, lines, delimiter):
         self._lines = iter(lines)
+        self._delimiter = delimiter
         self.lineno = 0
 
     def __iter__(self):
@@ -669,7 +672,8 @@ class _ReferenceLineFilter:
             if self.lineno == 1:
                 line = line.removeprefix("\ufeff")
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            lead = re.match(r"\s*", line).group()
+            if (not stripped or stripped.startswith("#")) and self._delimiter not in lead:
                 continue
             return line
         raise StopIteration
@@ -736,7 +740,7 @@ def _reference_record(row, header_index, year_range):
 
 def _reference_parse(text, schema, strict):
     """(records, skipped (line, reason) pairs, strict (line, reason) or None)."""
-    line_filter = _ReferenceLineFilter(io.StringIO(text))
+    line_filter = _ReferenceLineFilter(io.StringIO(text), schema.delimiter)
     reader = csv.reader(line_filter, delimiter=schema.delimiter)
     positions = {name.strip(): idx for idx, name in enumerate(next(reader))}
     header_index = {field: positions[schema.columns[field]] for field in CANONICAL_COLUMNS
@@ -807,7 +811,8 @@ def _row_files(draw):
         if kind == 0:
             lines.append(draw(st.sampled_from(["# comment", "  # indented", "#F1,2003"])))
         elif kind == 1:
-            lines.append(draw(st.sampled_from(["", "   "])))
+            # blank, or (under a tab delimiter) rows of empty first cells
+            lines.append(draw(st.sampled_from(["", "   ", delimiter * 3, delimiter + "#F1"])))
         else:
             # up to three bad cells, so that the order of the checks shows
             bad = draw(st.sets(st.sampled_from(fields), max_size=3))
@@ -849,7 +854,7 @@ def test_parser_matches_the_reference_row_loop(row_file, strict):
 def _row_by_row(text, schema, strict):
     """(field tuples, skipped (line, reason) pairs, strict (line, reason) or None):
     each row through ``_record_from_row`` alone, keys claimed first-wins."""
-    line_filter = _LineFilter(io.StringIO(text))
+    line_filter = _LineFilter(io.StringIO(text), schema.delimiter)
     reader = csv.reader(line_filter, delimiter=schema.delimiter)
     header = next(reader)
     line_filter.record_start = True
@@ -968,6 +973,18 @@ def test_a_hash_delimiter_is_refused():
     # A row whose first cell is empty would start with '#' and be dropped as a comment.
     with pytest.raises(SchemaError, match="delimiter can not be '#'"):
         CsvSchema(delimiter="#")
+
+
+@pytest.mark.parametrize("delimiter", ["\t", " ", ","], ids=["tab", "space", "comma"])
+def test_a_row_whose_first_cell_is_empty_is_reported_under_any_delimiter(delimiter):
+    # Under a whitespace delimiter such a row starts blank, and may look blank or a comment.
+    cells = ["", "#2003", "JP", "s", "manufacturing", "1", "1", "1", *[""] * 6]
+    text = ("# a comment\n" + HEADER.replace(",", delimiter) + "\n"
+            + delimiter.join(cells) + "\n\n" + delimiter * 13 + "\n")
+    report = parse(text, CsvSchema(delimiter=delimiter))
+    assert len(report.dataset) == 0
+    assert [(issue.line, issue.reason) for issue in report.skipped] == [
+        (3, "firm_id: mandatory cell is empty"), (5, "firm_id: mandatory cell is empty")]
 
 
 def test_records_of_a_parsed_dataset_are_views_shared_with_its_filters():
