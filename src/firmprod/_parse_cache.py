@@ -47,7 +47,8 @@ DIRECTORY = ".firmprod-cache"
 _SOURCES = ("ingest.py", "records.py", "errors.py", "_parse_cache.py")
 
 #: Stored array -> its dtype. ``text`` is the UTF-8 JSON document
-#: ``{"firm_id": [...], "names": [...], "skipped": [[line, reason], ...]}``.
+#: ``{"firm_id": [...], "names": [...], "skipped": [[line, reason], ...]}``;
+#: ``year`` to ``codes`` are the arrays of :class:`Columns`, stored as they are.
 _LAYOUT = {
     "key": np.uint8,
     "text": np.uint8,
@@ -167,10 +168,8 @@ def _load(path: Path, key: str) -> tuple[Columns, tuple[RowIssue, ...]] | None:
         return None
     ids = np.empty(n, dtype=object)
     ids[:] = firm_id
-    columns = Columns(ids, arrays["year"], arrays["workers"],
-                      dict(zip(MONEY_FIELDS, arrays["money"])),
-                      dict(zip(OPTIONAL_FIELDS, arrays["present"])),
-                      dict(zip(KEY_FIELDS, codes)), names)
+    columns = Columns(ids, arrays["year"], arrays["workers"], arrays["money"],
+                      arrays["present"], codes, names)
     return columns, issues
 
 
@@ -183,7 +182,5 @@ def _store(path: Path, key: str, report: ParseReport) -> None:
     with suppress(OSError), atomic_open(path, binary=True) as fh:
         np.savez(fh, key=np.frombuffer(key.encode("ascii"), dtype=np.uint8),
                  text=np.frombuffer(text, dtype=np.uint8), year=columns.year,
-                 workers=columns.workers,
-                 money=np.stack([columns.money[name] for name in MONEY_FIELDS]),
-                 present=np.stack([columns.present[name] for name in OPTIONAL_FIELDS]),
-                 codes=np.stack([columns.codes[name] for name in KEY_FIELDS]))
+                 workers=columns.workers, money=columns.money, present=columns.present,
+                 codes=columns.codes)

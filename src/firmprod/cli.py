@@ -455,7 +455,15 @@ def _scenario_from_json(path: str) -> tuple[list[equilibrium.TheoryFirm],
     if "firms" not in raw:
         raise ConfigError(f"{path}: scenario must have a 'firms' list")
     try:
-        firms = [equilibrium.TheoryFirm(**entry) for entry in raw["firms"]]
+        firms = []
+        for entry in raw["firms"]:
+            if isinstance(entry, dict):  # anything else is refused by TheoryFirm(**entry)
+                for name in ("scale", "alpha", "beta", "capital", "labor"):
+                    value = entry.get(name, 0.0)  # a missing value is TheoryFirm's to refuse
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise ConfigError(f"{path}: firm {entry.get('id')!r}: {name} must be "
+                                          f"a JSON number, got {value!r}")
+            firms.append(equilibrium.TheoryFirm(**entry))
         rule_raw = raw.get("step_rule", {"kind": "adaptive"})
         if not isinstance(rule_raw, dict):
             raise ConfigError(f"{path}: step_rule must be a JSON object, got {rule_raw!r}")

@@ -320,27 +320,25 @@ class _BlockParser:
         if not 0 <= min(workers) <= max(workers) <= _INT64_MAX:
             flagged.update(i for i, w in enumerate(workers) if not 0 <= w <= _INT64_MAX)
 
-        money: dict[str, np.ndarray] = {}
-        present: dict[str, np.ndarray] = {}
-        for field in MONEY_FIELDS:
-            if field not in self.header_index:  # an optional column the file lacks
-                money[field] = np.zeros(n)
-                present[field] = np.zeros(n, dtype=bool)
+        money = np.zeros((len(MONEY_FIELDS), n))
+        present = np.zeros((len(OPTIONAL_FIELDS), n), dtype=bool)
+        for field, values in zip(MONEY_FIELDS, money):
+            if field not in self.header_index:  # an optional column the file lacks: absent
                 continue
             cells = column(field)
-            if field in OPTIONAL_FIELDS and not all(cells):
-                present[field] = np.array(list(map(bool, cells)), dtype=bool)
-                values = _numbers(cells, lambda t: float(t) if t else 0.0, 0.0, flagged)
+            mask = present[OPTIONAL_FIELDS.index(field)] if field in OPTIONAL_FIELDS else None
+            if mask is not None and not all(cells):
+                mask[:] = list(map(bool, cells))
+                values[:] = _numbers(cells, lambda t: float(t) if t else 0.0, 0.0, flagged)
             else:
-                values = _numbers(cells, float, 0.0, flagged)
-                if field in OPTIONAL_FIELDS:
-                    present[field] = np.ones(n, dtype=bool)
-            array = money[field] = np.array(values, dtype=float)
-            valid = np.isfinite(array)
+                values[:] = _numbers(cells, float, 0.0, flagged)
+                if mask is not None:
+                    mask[:] = True
+            valid = np.isfinite(values)
             if field in _NONNEGATIVE_MONEY:
-                valid &= array >= 0
-            if field in OPTIONAL_FIELDS:
-                valid |= ~present[field]
+                valid &= values >= 0
+            if mask is not None:
+                valid |= ~mask
             if not valid.all():
                 flagged.update(np.flatnonzero(~valid).tolist())
 
@@ -355,11 +353,9 @@ class _BlockParser:
                 text[field][i] = values[field]
             year[i] = values["year"]
             workers[i] = values["workers"]
-            for field in MONEY_FIELDS:
-                value = values[field]
-                money[field][i] = 0.0 if value is None else value
-                if field in OPTIONAL_FIELDS:
-                    present[field][i] = value is not None
+            money[:, i] = [0.0 if values[field] is None else values[field]
+                           for field in MONEY_FIELDS]
+            present[:, i] = [values[field] is not None for field in OPTIONAL_FIELDS]
 
         kept = list(range(n))
         if issues:
@@ -389,8 +385,8 @@ class _BlockParser:
             select(firm_id),
             np.array(select(year), dtype=np.int64),
             np.array(select(workers), dtype=np.int64),
-            {field: array[pick] for field, array in money.items()},
-            {field: mask[pick] for field, mask in present.items()},
+            money[:, pick],
+            present[:, pick],
             {field: select(text[field]) for field in KEY_FIELDS},
         ))
         return issues

@@ -231,14 +231,14 @@ def _check_thresholds(thresholds: Sequence[int]) -> None:
 GroupKey = str | tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Evaluation:
     """The records a value basis could evaluate, in input order.
 
     ``rows`` indexes the evaluated records in ``columns``; ``values`` and
     ``workers`` hold their raw values and worker counts, and ``excluded``
     counts the records left out. ``records`` builds the record views on
-    first use.
+    first use. Evaluations hold arrays, so they compare by identity.
     """
 
     columns: Columns
@@ -327,12 +327,12 @@ def evaluate(
     :func:`gross_margin` and :func:`added_value` on one record.
     """
     columns, rows = _selection(records)
-    workers = columns.workers[rows]
-    revenue = columns.money["revenue"][rows]
+    workers = columns.column("workers", rows)
+    revenue = columns.column("revenue", rows)
     fails = workers == 0
     with np.errstate(all="ignore"):  # inf and nan pass through as Python floats do
         if basis is ValueBasis.GROSS_MARGIN:
-            values = revenue - columns.money["cogs"][rows]
+            values = revenue - columns.column("cogs", rows)
         elif basis is ValueBasis.ADDED_VALUE_LABOR_SHARE:
             denominators = np.full(len(rows), np.nan)
             if ctx is not None:
@@ -340,12 +340,12 @@ def evaluate(
                     with suppress(MacroContextError):
                         denominators[index] = 1.0 - ctx.labor_share(country, year)
             fails |= np.isnan(denominators)
-            values = (revenue - columns.money["cogs"][rows]) / denominators
+            values = (revenue - columns.column("cogs", rows)) / denominators
         elif basis is ValueBasis.ADDED_VALUE_COMPONENTS:
             values = np.zeros(len(rows))
             for name in COMPONENT_FIELDS:
-                values = values + columns.money[name][rows]
-                fails |= ~columns.present[name][rows]
+                values = values + columns.column(name, rows)
+                fails |= ~columns.present_mask(name, rows)
         else:
             raise ValueError(f"not a value basis: {basis}")
     if fails.any():

@@ -132,12 +132,13 @@ def _encode(texts: Sequence[str], table: dict[str, int]) -> np.ndarray:
 class Columns:
     """Column storage of firm records: the one representation of a dataset.
 
-    ``year`` and ``workers`` are int64 arrays and every money field a float64
-    array in ``money``. An optional money field also has a boolean presence
-    mask in ``present``; its absent cells hold 0.0 and are never read as
-    values. ``country``, ``sector`` and ``sector_class`` are int32 codes (in
-    ``codes``) into the one name table ``names``; ``firm_id`` is an object
-    array of ``str``. The arrays are never written after construction.
+    ``year`` and ``workers`` are int64 arrays; ``money`` (float64) has a row
+    per :data:`MONEY_FIELDS` entry and ``present`` (bool) a row per
+    :data:`OPTIONAL_FIELDS` entry, false where a cell is absent (it holds 0.0
+    and is never read as a value). ``codes`` (int32) has a row per
+    :data:`KEY_FIELDS` entry, of codes into the one name table ``names``;
+    ``firm_id`` is an object array of ``str``. The parse cache stores these
+    arrays as they are, and they are never written after construction.
 
     Record views are built once, for every row, when first asked for.
     """
@@ -145,14 +146,14 @@ class Columns:
     __slots__ = ("firm_id", "year", "workers", "money", "present", "codes", "names", "_views")
 
     def __init__(self, firm_id: np.ndarray, year: np.ndarray, workers: np.ndarray,
-                 money: Mapping[str, np.ndarray], present: Mapping[str, np.ndarray],
-                 codes: Mapping[str, np.ndarray], names: Sequence[str]):
+                 money: np.ndarray, present: np.ndarray, codes: np.ndarray,
+                 names: Sequence[str]):
         self.firm_id = firm_id
         self.year = year
         self.workers = workers
-        self.money = dict(money)
-        self.present = dict(present)
-        self.codes = dict(codes)
+        self.money = money
+        self.present = present
+        self.codes = codes
         self.names = np.array(list(names), dtype=object)
         self._views: tuple[FirmRecord, ...] | None = None
 
@@ -164,13 +165,14 @@ class Columns:
 
     @classmethod
     def from_arrays(cls, firm_id: Sequence[str], year: np.ndarray, workers: np.ndarray,
-                    money: Mapping[str, np.ndarray], present: Mapping[str, np.ndarray],
+                    money: np.ndarray, present: np.ndarray,
                     texts: Mapping[str, Sequence[str]]) -> Columns:
         """Columns of checked values; ``texts`` holds the key fields as strings."""
         ids = np.empty(len(firm_id), dtype=object)
         ids[:] = firm_id
         table: dict[str, int] = {}
-        codes = {name: _encode(texts[name], table) for name in KEY_FIELDS}
+        cells = [text for name in KEY_FIELDS for text in texts[name]]
+        codes = _encode(cells, table).reshape(len(KEY_FIELDS), len(ids))
         return cls(ids, year, workers, money, present, codes, table)
 
     @classmethod
@@ -181,14 +183,11 @@ class Columns:
         def field(name: str) -> list:
             return list(map(attrgetter(name), records))
 
-        money: dict[str, np.ndarray] = {}
-        present: dict[str, np.ndarray] = {}
-        for name in MONEY_FIELDS:
-            values = field(name)
-            if name in OPTIONAL_FIELDS:
-                present[name] = np.array([v is not None for v in values], dtype=bool)
-                values = [0.0 if v is None else v for v in values]
-            money[name] = np.array(values, dtype=float)
+        cells = {name: field(name) for name in MONEY_FIELDS}
+        money = np.array([[0.0 if v is None else v for v in cells[name]] for name in MONEY_FIELDS],
+                         dtype=float)
+        present = np.array([[v is not None for v in cells[name]] for name in OPTIONAL_FIELDS],
+                           dtype=bool)
         columns = cls.from_arrays(field("firm_id"), _int64_array(field("year"), "year"),
                                   _int64_array(field("workers"), "workers"), money, present,
                                   {name: field(name) for name in KEY_FIELDS})
@@ -201,24 +200,18 @@ class Columns:
         if not parts:
             return cls.from_records(())
         table: dict[str, int] = {}
-        recoded: dict[str, list[np.ndarray]] = {name: [] for name in KEY_FIELDS}
-        for columns, rows in parts:
-            remap = _encode(columns.names.tolist(), table)
-            for name in KEY_FIELDS:
-                recoded[name].append(remap[columns.column_codes(name, rows)])
+        codes = [_encode(columns.names.tolist(), table)[_take(columns.codes, rows)]
+                 for columns, rows in parts]
 
-        def joined(name: str, get=cls.column) -> np.ndarray:
-            return np.concatenate([get(columns, name, rows) for columns, rows in parts])
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([_take(getattr(columns, name), rows)
+                                   for columns, rows in parts], axis=-1)
 
-        return cls(
-            joined("firm_id"), joined("year"), joined("workers"),
-            {name: joined(name) for name in MONEY_FIELDS},
-            {name: joined(name, cls.present_mask) for name in OPTIONAL_FIELDS},
-            {name: np.concatenate(arrays) for name, arrays in recoded.items()}, table,
-        )
+        return cls(joined("firm_id"), joined("year"), joined("workers"), joined("money"),
+                   joined("present"), np.concatenate(codes, axis=-1), table)
 
     def column_codes(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
-        return _take(self.codes[name], rows)
+        return _take(self.codes[KEY_FIELDS.index(name)], rows)
 
     def column(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
         """One field's values at ``rows`` (all rows by default), in row order.
@@ -229,7 +222,7 @@ class Columns:
         if name in KEY_FIELDS:
             return self.names[self.column_codes(name, rows)]
         if name in MONEY_FIELDS:
-            return _take(self.money[name], rows)
+            return _take(self.money[MONEY_FIELDS.index(name)], rows)
         if name in ("firm_id", "year", "workers"):
             return _take(getattr(self, name), rows)
         raise ValueError(f"unknown record field {name!r}")
@@ -237,7 +230,7 @@ class Columns:
     def present_mask(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
         """Which cells of a field hold a value (always all, for a mandatory field)."""
         if name in OPTIONAL_FIELDS:
-            return _take(self.present[name], rows)
+            return _take(self.present[OPTIONAL_FIELDS.index(name)], rows)
         return np.ones(len(self) if rows is None else len(rows), dtype=bool)
 
     def keys(self, rows: np.ndarray | None = None) -> list[tuple[str, int]]:
@@ -295,7 +288,10 @@ class Columns:
 
 
 def _take(values: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    return values if rows is None else values[rows]
+    """``values`` at ``rows`` along the last axis (each row's, for a 2-D array)."""
+    if rows is None:
+        return values
+    return values[rows] if values.ndim == 1 else values[:, rows]
 
 
 def _duplicates(keys: Sequence[tuple[str, int]]) -> list[tuple[str, int]]:

@@ -122,10 +122,12 @@ class SynthSpec:
     currency_unit: str = "synthetic"
 
     def __post_init__(self) -> None:
-        for name in ("n", "seed", "n_sectors", "year"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for names, kind, what in ((("n", "seed", "n_sectors", "year"), int, "an integer"),
+                                  (("country", "currency_unit"), str, "a string")):
+            for name in names:
+                value = getattr(self, name)
+                if type(value) is not kind:
+                    raise ValidationError(f"{name} must be {what}, got {value!r}")
         _check_reals(self, "log_a", "alpha", "beta", "noise_sigma", "labor_share")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
@@ -215,16 +217,15 @@ def _firms(spec: SynthSpec, workers: np.ndarray, capital: np.ndarray, values: np
         raise ValidationError(f"generated value {value!r} overflows a money cell")
     n = spec.n
     zero = np.zeros(n)
-    money = {"revenue": revenue, "cogs": values, "total_labor_cost": labor_cost,
-             "capital": capital, "ordinary_income": values, "financial_expense": zero,
-             "tax_public_charge": zero, "depreciation": zero}
+    # rows in MONEY_FIELDS order: revenue, cogs, labor cost, capital, ordinary income, 3 zeros
+    money = np.stack([revenue, values, labor_cost, capital, values, zero, zero, zero])
     sectors = [f"S{k:02d}" for k in range(min(spec.n_sectors, n))]
     columns = Columns.from_arrays(
         firm_id=[f"F{i:06d}" for i in range(n)],
         year=np.full(n, spec.year, dtype=np.int64),
         workers=workers.astype(np.int64),
         money=money,
-        present={name: np.ones(n, dtype=bool) for name in OPTIONAL_FIELDS},
+        present=np.ones((len(OPTIONAL_FIELDS), n), dtype=bool),
         texts={"country": [spec.country] * n,
                "sector": [sectors[k] for k in (np.arange(n) % spec.n_sectors).tolist()],
                "sector_class": [spec.sector_class] * n},

@@ -389,13 +389,19 @@ _SIZES = "firm 'a': scale, capital and labor must be finite and > 0"
     (None, {"step_rule": {"kind": "bogus"}}, 2,
      "step_rule kind must be 'fixed' or 'adaptive', got 'bogus'"),
     ({"id": 5}, {}, 3, "firm 5: id must be a string"),
+    ({"scale": True}, {}, 2, "firm 'a': scale must be a JSON number, got True"),
+    ({"alpha": "0.4"}, {}, 2, "firm 'a': alpha must be a JSON number, got '0.4'"),
+    ({"beta": None}, {}, 2, "firm 'a': beta must be a JSON number, got None"),
+    ({"capital": True}, {}, 2, "firm 'a': capital must be a JSON number, got True"),
+    ({"labor": [10.0]}, {}, 2, "firm 'a': labor must be a JSON number, got [10.0]"),
     ({"scale": 5e-324, "beta": 0.3}, {}, 4,
      "firm 'a': marginal labor productivity is 0.0, so the relative spread is undefined"),
 ], ids=["nan-scale", "nan-labor", "infinite-capital", "huge-int-labor", "nan-delta",
         "infinite-delta", "overflowing-max-iter", "negative-max-iter", "fractional-max-iter",
         "bool-max-iter", "overflowing-tol", "infinite-tol", "infinite-labor-floor",
         "string-tol", "bool-tol", "bool-labor-floor", "string-labor-floor",
-        "unknown-step-kind", "integer-id", "zero-marginal-product"])
+        "unknown-step-kind", "integer-id", "bool-scale", "string-alpha", "null-beta",
+        "bool-capital", "list-labor", "zero-marginal-product"])
 def test_a_non_finite_or_non_integer_scenario_value_is_refused(firm, top, code, message,
                                                                 tmp_path):
     (tmp_path / "scenario.json").write_text(_scenario_text(firm, **top))
@@ -438,12 +444,15 @@ def test_a_non_finite_or_non_integer_scenario_value_is_refused(firm, top, code, 
     ("synth", "--spec", '{"n": 5, "size_dist": {"kind": "fixed", "workers": Infinity}}'),
     ("synth", "--spec", '{"n": 5, "size_dist": {"kind": "fixed", "workers": 1e300}}'),
     ("synth", "--spec", '{"n": 5, "capital_rule": {"exponent": 400}}'),
+    ("synth", "--spec", '{"n": 5, "country": 5}'),
+    ("synth", "--spec", '{"n": 5, "currency_unit": 5}'),
 ], ids=["schema-truncated", "macro-truncated", "spec-truncated", "scalar-size-dist",
         "empty-delimiter", "quote-delimiter", "cr-delimiter", "lf-delimiter", "hash-delimiter",
         "scalar-year-range", "scalar-columns", "macro-string", "float-n", "bool-n", "float-seed", "float-n-sectors", "float-year",
         "string-log-a", "null-alpha", "string-beta", "string-mean-log", "string-exponent",
         "nan-alpha", "bool-noise-sigma", "overflowing-value", "infinite-workers",
-        "overflowing-workers", "overflowing-capital"])
+        "overflowing-workers", "overflowing-capital", "integer-country",
+        "integer-currency-unit"])
 def test_malformed_config_file_is_a_config_error(command, option, text, tmp_path):
     (tmp_path / "config.json").write_text(text)
     (tmp_path / "firms.csv").write_text(_HEADER + "F1,2003,JP,s,manufacturing,2,1,1\n")
@@ -455,6 +464,8 @@ def test_malformed_config_file_is_a_config_error(command, option, text, tmp_path
         assert "delimiter can not be a quote, CR or LF" in result.stderr
     if text == '{"delimiter": "#"}':
         assert "delimiter can not be '#'" in result.stderr
+    if '"country"' in text or '"currency_unit"' in text:
+        assert "must be a string, got 5" in result.stderr
     assert "Traceback" not in result.stderr
 
 

@@ -393,6 +393,15 @@ def test_empty_dataset_gives_empty_mapping(make_dataset):
     assert aggregate_by_sector(make_dataset()) == {}
 
 
+def test_an_evaluation_compares_and_hashes_by_identity(make_record, make_dataset):
+    d = make_dataset(make_record(), make_record(firm_id="F2", revenue=50.0))
+    ev = evaluate(d)
+    assert ev == ev
+    assert ev != evaluate(d)  # equal arrays, another evaluation
+    assert hash(ev) == hash(ev)
+    assert len({ev, evaluate(d)}) == 2
+
+
 # ---------------------------------------------------------------------------
 # GDP coverage
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from conftest import SRC, child_env
 from firmprod import _emit, _parse_cache, cli
 from firmprod._parse_cache import DIRECTORY
 from firmprod.cli import main
-from firmprod.records import CANONICAL_COLUMNS, KEY_FIELDS, OPTIONAL_FIELDS
+from firmprod.records import CANONICAL_COLUMNS, KEY_FIELDS, MONEY_FIELDS, OPTIONAL_FIELDS
 
 HEADER = ",".join(CANONICAL_COLUMNS)
 
@@ -185,6 +185,32 @@ def test_firm_ids_round_trip_exactly(workdir, parses):
     assert len(parses) == 1
     assert warm.dataset.column("firm_id").tolist() == ids
     assert _columns_of(warm) == _columns_of(cold)
+
+
+def test_the_cache_stores_and_loads_the_arrays_of_the_columns(workdir, parses, monkeypatch):
+    """A miss hands np.savez the parse's own money, present and codes arrays,
+    and a hit loads arrays of the same dtype, shape and values."""
+    write_input("hostile")
+    saved = {}
+    savez = np.savez
+
+    def recording(file, **arrays):
+        saved.update(arrays)
+        savez(file, **arrays)
+
+    monkeypatch.setattr(np, "savez", recording)
+    parsed = cli._load("in.csv", None, strict=False).dataset.columns
+    loaded = cli._load("in.csv", None, strict=False).dataset.columns
+    assert len(parses) == 1
+    shapes = {"money": (len(MONEY_FIELDS), len(parsed)),
+              "present": (len(OPTIONAL_FIELDS), len(parsed)),
+              "codes": (len(KEY_FIELDS), len(parsed))}
+    for name, shape in shapes.items():
+        stored, back = getattr(parsed, name), getattr(loaded, name)
+        assert saved[name] is stored
+        assert stored.dtype == back.dtype == _parse_cache._LAYOUT[name]
+        assert stored.shape == back.shape == shape
+        assert np.array_equal(stored, back)
 
 
 def test_a_strict_hit_exits_3_with_the_line_of_a_strict_parse(tmp_path):
