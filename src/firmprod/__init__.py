@@ -25,8 +25,7 @@ _EXPORTS = {
         "optimal_labor", "output", "profit", "simulate_reallocation",
     ),
     "ingest": (
-        "CsvSchema", "MergePolicy", "ParseReport", "filter_dataset", "merge_datasets",
-        "parse_firm_records", "write_firm_records",
+        "CsvSchema", "ParseReport", "filter_dataset", "parse_firm_records", "write_firm_records",
     ),
     "measures": (
         "Evaluation", "MacroContext", "MacroEntry", "ProductivityMeasure", "SectorAggregate",
@@ -39,7 +38,7 @@ _EXPORTS = {
     ),
     "production": (
         "LogDesign", "ProductionFit", "ReturnsToScale", "ScaleRegime", "classify_returns",
-        "fit_by_stratum", "fit_cobb_douglas", "log_design", "productivity_from_capital_ratio",
+        "fit_by_stratum", "fit_cobb_douglas", "log_design",
     ),
     "records": ("Dataset", "FirmRecord"),
     "synth": (

@@ -7,8 +7,6 @@ degeneracies (exit 4).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 
 class FirmprodError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,20 +35,6 @@ class RowError(DataError):
 
 class ValidationError(DataError):
     """A record or dataset invariant does not hold."""
-
-
-class UnitMismatchError(DataError):
-    """Two datasets declare different currency units."""
-
-
-class MergeConflictError(DataError):
-    """Duplicate (firm_id, year) keys under the reject-conflict merge policy."""
-
-    def __init__(self, keys: Sequence[tuple[str, int]]):
-        shown = ", ".join(f"({fid}, {yr})" for fid, yr in keys[:5])
-        more = "" if len(keys) <= 5 else f" and {len(keys) - 5} more"
-        super().__init__(f"conflicting keys: {shown}{more}")
-        self.keys = tuple(keys)
 
 
 class IncompleteRecordError(DataError):

@@ -1,4 +1,4 @@
-"""Firm-year financial records: parsing, merging, filtering, serialization.
+"""Firm-year financial records: parsing, filtering, serialization.
 
 The canonical interchange format is header-labeled delimited text (comma by
 default). A :class:`CsvSchema` maps file headers to record fields so vendor
@@ -20,7 +20,6 @@ import json
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 from pathlib import Path
 from typing import IO, TextIO
@@ -31,10 +30,8 @@ from ._emit import _csv_text
 from .errors import (
     ConfigError,
     DataError,
-    MergeConflictError,
     RowError,
     SchemaError,
-    UnitMismatchError,
     ValidationError,
 )
 from .records import (  # the record types and field names stay importable from here
@@ -58,14 +55,6 @@ DEFAULT_YEAR_RANGE = (1980, 2030)
 #: :func:`write_firm_records`). A block's cells all live at once, so a larger
 #: block raises peak memory; it does not make parsing faster.
 _BLOCK_ROWS = 1024
-
-
-class MergePolicy(Enum):
-    """How to resolve duplicate (firm_id, year) keys when merging."""
-
-    PREFER_A = "prefer_a"
-    PREFER_B = "prefer_b"
-    REJECT_CONFLICT = "reject_conflict"
 
 
 @dataclass(frozen=True)
@@ -494,7 +483,7 @@ def _parse_lines(lines: Iterable[str], schema: CsvSchema, strict: bool,
     if isinstance(more, DataError):
         raise more
 
-    columns = Columns.concat([(part, None) for part in parse_block.parts])
+    columns = Columns.concat(parse_block.parts)
     dataset = Dataset._of(columns, None, schema.currency_unit, provenance)
     return ParseReport(dataset=dataset, skipped=tuple(skipped))
 
@@ -533,37 +522,6 @@ def write_firm_records(
                 values = list(map(str, values))
             cells.append(values)
         dest.write(_csv_text(cells, schema.delimiter))
-
-
-def merge_datasets(
-    a: Dataset,
-    b: Dataset,
-    policy: MergePolicy = MergePolicy.PREFER_A,
-) -> Dataset:
-    """Union of two datasets with explicit duplicate-key resolution.
-
-    Record order: all of ``a`` (with losers replaced in place under
-    PREFER_B), then the records of ``b`` whose keys are new.
-    """
-    if a.currency_unit != b.currency_unit:
-        raise UnitMismatchError(
-            f"currency units differ: {a.currency_unit!r} vs {b.currency_unit!r}"
-        )
-    a_keys = a.columns.keys(a.rows)
-    b_position = {key: i for i, key in enumerate(b.columns.keys(b.rows))}
-    duplicates = [key for key in a_keys if key in b_position]
-    if duplicates and policy is MergePolicy.REJECT_CONFLICT:
-        raise MergeConflictError(duplicates)
-
-    # Rows of the concatenation a + b, in merged order.
-    offset = len(a)
-    order = [offset + b_position[key] if policy is MergePolicy.PREFER_B and key in b_position
-             else i for i, key in enumerate(a_keys)]
-    taken = set(a_keys)
-    order += [offset + j for j, key in enumerate(b_position) if key not in taken]
-    columns = Columns.concat([(a.columns, a.rows), (b.columns, b.rows)])
-    return Dataset._of(columns, np.array(order, dtype=np.intp), a.currency_unit,
-                       a.provenance + b.provenance)
 
 
 def filter_dataset(

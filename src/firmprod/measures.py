@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     DegenerateShareError,
     IncompleteRecordError,
+    InsufficientDataError,
     MacroContextError,
     ValidationError,
     ZeroWorkersError,
@@ -143,9 +144,6 @@ class MacroContext:
         if gdp is None:
             raise MacroContextError(f"no GDP recorded for ({country}, {year})")
         return gdp
-
-    def keys(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self._entries))
 
 
 @dataclass(frozen=True)
@@ -272,6 +270,8 @@ class Evaluation:
         _check_mode(mode)
         pick = slice(None) if where is None else where
         values = self.values[pick]
+        if len(values) == 0:
+            raise InsufficientDataError("pooling needs at least one record")
         with np.errstate(all="ignore"):  # an overflowed sum is inf, as in evaluate
             total_value = float(np.cumsum(values)[-1])
             total_workers = int(self.workers[pick].sum())  # integers: exact in any order

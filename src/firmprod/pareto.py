@@ -64,9 +64,6 @@ class RankSizeSeries:
     def ranks(self) -> np.ndarray:
         return np.arange(1, self.n + 1)
 
-    def points(self) -> list[tuple[int, float]]:
-        return list(zip(self.ranks.tolist(), self.values.tolist()))
-
 
 @dataclass(frozen=True)
 class TailSpec:

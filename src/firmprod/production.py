@@ -10,7 +10,6 @@ bias the elasticities.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,11 +71,6 @@ class ProductionFit:
     @property
     def sum_elasticities(self) -> float:
         return self.alpha + self.beta
-
-    @property
-    def scale(self) -> float:
-        """The multiplicative scale parameter, 10**log_a."""
-        return 10.0 ** self.log_a
 
 
 class ScaleRegime(Enum):
@@ -207,13 +201,6 @@ def classify_returns(fit: ProductionFit, tol: float = RTS_TOLERANCE) -> ReturnsT
     return ReturnsToScale(classification=regime, sum_elasticities=total, tolerance_used=tol)
 
 
-def productivity_from_capital_ratio(log_a: float, alpha: float, k_over_l: float) -> float:
-    """Per-worker value implied by the capital-equipment ratio: 10**log_a * (K/L)**alpha."""
-    if k_over_l <= 0:
-        raise ValueError(f"k_over_l must be > 0, got {k_over_l}")
-    return 10.0 ** log_a * k_over_l ** alpha
-
-
 StratumKey = tuple[str, str, int | None]
 
 
@@ -247,9 +234,3 @@ def fit_by_stratum(
         except (DataError, NumericalError) as exc:
             failures[key] = str(exc)
     return fits, failures
-
-
-def predict_log_values(fit: ProductionFit, regressors: Iterable[tuple[float, float]]) -> np.ndarray:
-    """log10 values implied by a fit at given (log10 capital, log10 workers) points."""
-    reg = np.asarray(list(regressors), dtype=float)
-    return fit.log_a + fit.alpha * reg[:, 0] + fit.beta * reg[:, 1]

@@ -195,17 +195,15 @@ class Columns:
         return columns
 
     @classmethod
-    def concat(cls, parts: Sequence[tuple[Columns, np.ndarray | None]]) -> Columns:
-        """The selected rows of several containers, one after another."""
+    def concat(cls, parts: Sequence[Columns]) -> Columns:
+        """The rows of several containers, one after another."""
         if not parts:
             return cls.from_records(())
         table: dict[str, int] = {}
-        codes = [_encode(columns.names.tolist(), table)[_take(columns.codes, rows)]
-                 for columns, rows in parts]
+        codes = [_encode(columns.names.tolist(), table)[columns.codes] for columns in parts]
 
         def joined(name: str) -> np.ndarray:
-            return np.concatenate([_take(getattr(columns, name), rows)
-                                   for columns, rows in parts], axis=-1)
+            return np.concatenate([getattr(columns, name) for columns in parts], axis=-1)
 
         return cls(joined("firm_id"), joined("year"), joined("workers"), joined("money"),
                    joined("present"), np.concatenate(codes, axis=-1), table)
@@ -233,9 +231,9 @@ class Columns:
             return _take(self.present[OPTIONAL_FIELDS.index(name)], rows)
         return np.ones(len(self) if rows is None else len(rows), dtype=bool)
 
-    def keys(self, rows: np.ndarray | None = None) -> list[tuple[str, int]]:
+    def keys(self) -> list[tuple[str, int]]:
         """The (firm_id, year) key of each row."""
-        return list(zip(self.column("firm_id", rows).tolist(), self.column("year", rows).tolist()))
+        return list(zip(self.firm_id.tolist(), self.year.tolist()))
 
     def records(self, rows: np.ndarray | None = None) -> tuple[FirmRecord, ...]:
         """Record views of ``rows`` (all rows by default); the same objects on every call."""
@@ -308,11 +306,11 @@ def _duplicates(keys: Sequence[tuple[str, int]]) -> list[tuple[str, int]]:
 class Dataset:
     """An immutable collection of firm records sharing one currency unit.
 
-    (firm_id, year) keys are unique; duplicate keys must be resolved by
-    :func:`merge_datasets` before a Dataset can be built. The records live in
-    a :class:`Columns` container, of which a dataset holds a row selection
-    (filters select rows and copy nothing); ``records`` is a view, built on
-    first use, and a filtered dataset shares its parent's record objects.
+    (firm_id, year) keys are unique: a repeated key is refused. The records
+    live in a :class:`Columns` container, of which a dataset holds a row
+    selection (filters select rows and copy nothing); ``records`` is a view,
+    built on first use, and a filtered dataset shares its parent's record
+    objects.
     """
 
     __slots__ = ("_columns", "_rows", "currency_unit", "provenance")
@@ -320,8 +318,9 @@ class Dataset:
     def __init__(self, records: Iterable[FirmRecord] = (),
                  currency_unit: str = "unspecified", provenance: Iterable[str] = ()):
         columns = Columns.from_records(tuple(records))
-        if len(set(columns.keys())) != len(columns):
-            shown = ", ".join(f"({fid}, {yr})" for fid, yr in _duplicates(columns.keys())[:5])
+        duplicates = _duplicates(columns.keys())
+        if duplicates:
+            shown = ", ".join(f"({fid}, {yr})" for fid, yr in duplicates[:5])
             raise ValidationError(f"duplicate (firm_id, year) keys: {shown}")
         self._init(columns, None, currency_unit, provenance)
 

@@ -25,7 +25,12 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .ingest import read_json_config
-from .records import OPTIONAL_FIELDS, SECTOR_CLASSES, Columns, Dataset
+from .records import _INT64_MAX, OPTIONAL_FIELDS, SECTOR_CLASSES, Columns, Dataset
+
+#: The largest population :class:`SynthSpec` accepts. Every firm is held in
+#: memory while it is generated and written, so a larger ``n`` is refused as
+#: a bad spec rather than left to fail in the allocator.
+MAX_FIRMS = 10**8
 
 
 def _check_reals(obj: object, *names: str) -> None:
@@ -131,6 +136,8 @@ class SynthSpec:
         _check_reals(self, "log_a", "alpha", "beta", "noise_sigma", "labor_share")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
+        if self.n > MAX_FIRMS:
+            raise ValidationError(f"n must be <= {MAX_FIRMS}, got {self.n}")
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be >= 0")
         if not 0 <= self.labor_share < 1:
@@ -139,6 +146,10 @@ class SynthSpec:
             raise ValidationError("seed must be a non-negative integer")
         if self.n_sectors < 1:
             raise ValidationError("n_sectors must be >= 1")
+        for name in ("n_sectors", "year"):
+            value = getattr(self, name)
+            if not -_INT64_MAX <= value <= _INT64_MAX:
+                raise ValidationError(f"{name} must lie within +-{_INT64_MAX}, got {value}")
         if self.sector_class not in SECTOR_CLASSES:
             raise ValidationError(f"sector_class must be one of {SECTOR_CLASSES}")
 

@@ -842,7 +842,15 @@ def test_a_schema_reading_one_column_for_two_fields_is_a_config_error(command, t
     ({"n": 5, "log_a": 1e308}, "generated value inf overflows a money cell"),
     ({"n": 5, "size_dist": {"kind": "pareto", "mu": 0.001, "xmin": 1}},
      "a drawn worker count exceeds the integer range"),
-], ids=["huge-log-a", "tiny-pareto-mu"])
+    ({"n": 10**400}, f"n must be <= 100000000, got {10**400}"),
+    ({"n": 2**63}, "n must be <= 100000000, got 9223372036854775808"),
+    ({"n": 5, "n_sectors": 2**63},
+     "n_sectors must lie within +-9223372036854775807, got 9223372036854775808"),
+    ({"n": 5, "year": 2**63}, "year must lie within +-9223372036854775807, got 9223372036854775808"),
+    ({"n": 5, "year": -2**63 - 1},
+     "year must lie within +-9223372036854775807, got -9223372036854775809"),
+], ids=["huge-log-a", "tiny-pareto-mu", "n-1e400", "n-2e63", "n-sectors-2e63", "year-2e63",
+        "year-below-int64"])
 def test_an_overflowing_synth_spec_prints_only_its_error_line(spec, reason, tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     result = run_process(tmp_path, "synth", "--spec", "spec.json", "--out", "out")

@@ -15,21 +15,17 @@ from firmprod import (
     CsvSchema,
     Dataset,
     FirmRecord,
-    MergePolicy,
     ParseReport,
     SynthSpec,
     filter_dataset,
     gen_cobb_douglas_firms,
-    merge_datasets,
     parse_firm_records,
     write_firm_records,
 )
 from firmprod.errors import (
     FirmprodError,
-    MergeConflictError,
     RowError,
     SchemaError,
-    UnitMismatchError,
     ValidationError,
 )
 from firmprod.ingest import (
@@ -41,6 +37,7 @@ from firmprod.ingest import (
     _LineFilter,
     _record_from_row,
 )
+from firmprod.records import Columns
 
 HEADER = (
     "firm_id,year,country,sector,sector_class,revenue,cogs,workers,"
@@ -227,112 +224,6 @@ def test_parse_serialize_parse_is_identity(make_record, make_dataset):
     once = roundtrip(dataset)
     assert once.records == dataset.records
     assert roundtrip(once).records == once.records
-
-
-# ---------------------------------------------------------------------------
-# merge
-# ---------------------------------------------------------------------------
-
-_ids = st.sampled_from(["a", "b", "c", "d", "e"])
-_years = st.integers(2000, 2004)
-_money = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def datasets(draw, currency: str = "kJPY") -> Dataset:
-    keys = draw(st.sets(st.tuples(_ids, _years), max_size=6))
-    records = tuple(
-        FirmRecord(
-            firm_id=fid,
-            year=year,
-            country="JP",
-            sector=draw(st.sampled_from(["s1", "s2"])),
-            sector_class="manufacturing",
-            revenue=draw(_money),
-            cogs=draw(_money),
-            workers=draw(st.integers(0, 50)),
-        )
-        for fid, year in sorted(keys)
-    )
-    return Dataset(records=records, currency_unit=currency)
-
-
-def _merge_oracle(a: Dataset, b: Dataset, policy: MergePolicy) -> dict:
-    # Independent key-scan: build the expected winner per key.
-    out = {r.key: r for r in a.records}
-    for r in b.records:
-        if r.key in out:
-            if policy is MergePolicy.PREFER_B:
-                out[r.key] = r
-        else:
-            out[r.key] = r
-    return out
-
-
-def test_merge_with_empty_is_identity(make_record, make_dataset):
-    d = make_dataset(make_record(firm_id="a"), make_record(firm_id="b"))
-    empty = make_dataset()
-    assert merge_datasets(d, empty).records == d.records
-    assert merge_datasets(empty, d).records == d.records
-
-
-def test_merge_disjoint_sizes_add(make_record, make_dataset):
-    a = make_dataset(*(make_record(firm_id=f"a{i}") for i in range(3)))
-    b = make_dataset(*(make_record(firm_id=f"b{i}") for i in range(4)))
-    assert len(merge_datasets(a, b)) == 7
-
-
-@given(datasets(), datasets(), st.sampled_from([MergePolicy.PREFER_A, MergePolicy.PREFER_B]))
-def test_merge_matches_key_scan_oracle(a, b, policy):
-    merged = merge_datasets(a, b, policy)
-    assert {r.key: r for r in merged.records} == _merge_oracle(a, b, policy)
-
-
-@given(datasets(), datasets())
-def test_merge_size_bound(a, b):
-    merged = merge_datasets(a, b, MergePolicy.PREFER_A)
-    assert len(merged) <= len(a) + len(b)
-    disjoint = not ({r.key for r in a.records} & {r.key for r in b.records})
-    assert (len(merged) == len(a) + len(b)) == disjoint
-
-
-@given(datasets(), datasets(), datasets())
-def test_merge_associative_for_disjoint_prefer_a(a, b, c):
-    keys_a = {r.key for r in a.records}
-    keys_b = {r.key for r in b.records}
-    keys_c = {r.key for r in c.records}
-    if keys_a & keys_b or keys_a & keys_c or keys_b & keys_c:
-        return  # associativity is claimed for key-disjoint inputs only
-    left = merge_datasets(merge_datasets(a, b), c)
-    right = merge_datasets(a, merge_datasets(b, c))
-    assert {r.key: r for r in left.records} == {r.key: r for r in right.records}
-
-
-def test_merge_prefer_b_wins_on_conflict(make_record, make_dataset):
-    a = make_dataset(make_record(revenue=100.0))
-    b = make_dataset(make_record(revenue=999.0))
-    merged = merge_datasets(a, b, MergePolicy.PREFER_B)
-    assert merged.records[0].revenue == 999.0
-
-
-def test_merge_reject_conflict_lists_keys(make_record, make_dataset):
-    a = make_dataset(make_record())
-    b = make_dataset(make_record(revenue=1.0))
-    with pytest.raises(MergeConflictError, match="F000001"):
-        merge_datasets(a, b, MergePolicy.REJECT_CONFLICT)
-
-
-def test_merge_currency_mismatch(make_record):
-    a = Dataset(records=(make_record(),), currency_unit="kJPY")
-    b = Dataset(records=(make_record(firm_id="x"),), currency_unit="kUSD")
-    with pytest.raises(UnitMismatchError):
-        merge_datasets(a, b)
-
-
-def test_merge_concatenates_provenance(make_record):
-    a = Dataset(records=(make_record(),), currency_unit="kJPY", provenance=("one",))
-    b = Dataset(records=(make_record(firm_id="x"),), currency_unit="kJPY", provenance=("two",))
-    assert merge_datasets(a, b).provenance == ("one", "two")
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +517,39 @@ def test_write_then_parse_gives_every_record_back(records):
 def test_write_then_parse_gives_every_record_back_under_other_delimiters(delimiter, records):
     dataset = Dataset(records=tuple(records))
     assert roundtrip(dataset, delimiter).records == dataset.records
+
+
+@given(parts=st.lists(st.lists(firm_records(), max_size=5), max_size=4))
+@example(parts=[_hostile[:2], [], _hostile[2:]])
+def test_concat_of_whole_parts_holds_every_record_in_order(parts):
+    columns = Columns.concat([Columns.from_records(part) for part in parts])
+    joined = [record for part in parts for record in part]
+    assert len(columns) == len(joined)
+    assert columns._build_views() == tuple(joined)
+    assert columns.keys() == [record.key for record in joined]
+
+
+def test_concat_of_no_parts_is_empty():
+    columns = Columns.concat([])
+    assert len(columns) == 0
+    assert columns.keys() == []
+    assert columns.records() == ()
+
+
+def test_dataset_duplicate_error_lists_each_repeat_in_order(make_record):
+    records = [make_record(firm_id=firm_id) for firm_id in "ABABA"]
+    with pytest.raises(ValidationError) as error:
+        Dataset(records=records)
+    assert str(error.value) == (
+        "duplicate (firm_id, year) keys: (A, 2003), (B, 2003), (A, 2003)")
+
+
+def test_dataset_duplicate_error_shows_at_most_five_keys(make_record):
+    records = [make_record(firm_id=f"F{i}") for i in range(7)] * 2
+    with pytest.raises(ValidationError) as error:
+        Dataset(records=records)
+    assert str(error.value) == "duplicate (firm_id, year) keys: " + ", ".join(
+        f"(F{i}, 2003)" for i in range(5))
 
 
 def test_firm_id_starting_with_hash_round_trips():

@@ -24,12 +24,12 @@ from firmprod import (
     gen_cobb_douglas_firms,
     gross_margin,
     labor_productivity,
-    merge_datasets,
     size_sweep,
 )
 from firmprod.errors import (
     DegenerateShareError,
     IncompleteRecordError,
+    InsufficientDataError,
     MacroContextError,
     ZeroWorkersError,
 )
@@ -383,6 +383,15 @@ def test_pooled_productivity_within_member_range(make_record, make_dataset):
     assert min(ratios) <= agg.productivity <= max(ratios)
 
 
+@pytest.mark.parametrize("mode", ["pooled", "mean"])
+def test_pooling_an_empty_selection_is_insufficient_data(mode, make_record, make_dataset):
+    ev = evaluate(make_dataset(make_record()))
+    for source, where in ((evaluate(Dataset()), None), (ev, np.zeros(1, dtype=bool)),
+                          (ev, np.array([], dtype=np.intp))):
+        with pytest.raises(InsufficientDataError, match="at least one record"):
+            source.pool(mode, where)
+
+
 def test_aggregate_refuses_zero_workers(make_record, make_dataset):
     d = make_dataset(make_record(workers=0))
     with pytest.raises(ZeroWorkersError):
@@ -454,8 +463,8 @@ def test_gdp_coverage_additive_over_disjoint_datasets(make_record, make_dataset)
         make_record(firm_id="c", revenue=55.0, cogs=5.0),
     )
     ctx = ctx_for(labor_share=0.25, gdp=1234.5)
-    merged = merge_datasets(a, b)
-    total = gdp_coverage(merged, ctx, 2003)
+    union = make_dataset(*a.records, *b.records)
+    total = gdp_coverage(union, ctx, 2003)
     assert total == pytest.approx(
         gdp_coverage(a, ctx, 2003) + gdp_coverage(b, ctx, 2003), rel=1e-12
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import os
 import shutil
@@ -47,6 +48,37 @@ def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(firmprod, "cli_main")
     with pytest.raises(ImportError):
         exec("from firmprod import no_such_name", {})
+    # library API that no command reached, deleted with its own tests
+    for owner, name in ((firmprod, "merge_datasets"), (firmprod, "MergePolicy"),
+                        (firmprod, "productivity_from_capital_ratio"),
+                        (firmprod.ingest, "merge_datasets"), (firmprod.ingest, "MergePolicy"),
+                        (firmprod.errors, "MergeConflictError"),
+                        (firmprod.errors, "UnitMismatchError"),
+                        (firmprod.production, "predict_log_values"),
+                        (firmprod.production, "productivity_from_capital_ratio"),
+                        (firmprod.ProductionFit, "scale"), (firmprod.MacroContext, "keys"),
+                        (firmprod.RankSizeSeries, "points")):
+        assert not hasattr(owner, name), name
+
+
+#: The firmprod module behind each layer of the benchmark's per-layer metric names.
+_BENCH_LAYERS = {"ingest": "ingest", "measures": "measures", "production": "production",
+                 "pareto": "pareto", "equilibrium": "equilibrium", "synth": "synth",
+                 "emit": "_emit"}
+
+
+def test_every_function_the_benchmark_times_is_defined():
+    spec = json.loads((SRC.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    timed = [metric["name"].split(".") for metric in spec["per_layer"]]
+    timed = [(layer, name) for layer, name, *unit in timed
+             if layer in _BENCH_LAYERS and unit in (["s"], ["calls"])]
+    assert ("measures", "aggregate_by_sector") in timed
+    for layer, name in timed:
+        module = importlib.import_module(f"firmprod.{_BENCH_LAYERS[layer]}")
+        bound = getattr(module, name, None)
+        assert not name.startswith("_"), name
+        assert inspect.isfunction(bound) or (name == "Dataset" and inspect.isclass(bound)), (
+            f"{layer}.{name}")
 
 
 # A child process reports, after its work, which firmprod modules have run their

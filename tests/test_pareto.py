@@ -36,11 +36,13 @@ def exact_series(mu: float, n: int) -> RankSizeSeries:
 
 def test_rank_size_sorts_descending():
     series = rank_size([3.0, 1.0, 2.0])
-    assert series.points() == [(1, 3.0), (2, 2.0), (3, 1.0)]
+    assert series.values.tolist() == [3.0, 2.0, 1.0]
+    assert series.ranks.tolist() == [1, 2, 3]
 
 
 def test_rank_size_singleton():
-    assert rank_size([5.0]).points() == [(1, 5.0)]
+    series = rank_size([5.0])
+    assert (series.values.tolist(), series.ranks.tolist()) == ([5.0], [1])
 
 
 def test_rank_size_drops_nonpositive_with_count():

@@ -22,7 +22,6 @@ from firmprod import (
     fit_cobb_douglas,
     gen_cobb_douglas_firms,
     log_design,
-    productivity_from_capital_ratio,
 )
 from firmprod.errors import (
     CollinearityError,
@@ -31,7 +30,7 @@ from firmprod.errors import (
     NumericalError,
 )
 from firmprod.measures import COMPONENT_FIELDS, evaluate
-from firmprod.production import LogDesign, fit_log_design, predict_log_values
+from firmprod.production import LogDesign, fit_log_design
 
 
 def synth(n=1000, *, log_a=0.0, alpha=0.4, beta=0.6, noise=0.0, seed=21, **kwargs):
@@ -179,7 +178,8 @@ def test_refit_on_own_predictions_is_idempotent(make_record, make_dataset):
     d = synth(300, noise=0.15)
     fit = fit_cobb_douglas(d)
     design = log_design(d)
-    predicted = predict_log_values(fit, design.regressors)
+    log_k, log_l = design.regressors[:, 0], design.regressors[:, 1]
+    predicted = fit.log_a + fit.alpha * log_k + fit.beta * log_l
     records = []
     for i, (log_value, row) in enumerate(zip(predicted, design.regressors)):
         value = 10.0 ** float(log_value)
@@ -234,21 +234,11 @@ def test_classification_requires_positive_tolerance():
 # ---------------------------------------------------------------------------
 
 
-def test_capital_ratio_formula():
-    assert productivity_from_capital_ratio(0.0, 0.5, 4.0) == 2.0
-    assert productivity_from_capital_ratio(0.7, 0.0, 123.4) == pytest.approx(10.0 ** 0.7)
-
-
-def test_capital_ratio_requires_positive_ratio():
-    with pytest.raises(ValueError):
-        productivity_from_capital_ratio(0.0, 0.5, 0.0)
-
-
 def test_capital_ratio_consistent_with_constant_returns_output():
     d = synth(200, log_a=0.1, alpha=0.4, beta=0.6)  # alpha + beta = 1
     for record in d.records[:50]:
         ratio = record.capital / record.workers
-        predicted = productivity_from_capital_ratio(0.1, 0.4, ratio)
+        predicted = 10.0 ** 0.1 * ratio ** 0.4  # 10**log_a * (K/L)**alpha
         actual = (record.revenue - record.cogs) / record.workers
         assert predicted == pytest.approx(actual, rel=1e-12)
 
