@@ -31,6 +31,7 @@ import sys
 import zipfile
 from contextlib import suppress
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -180,7 +181,22 @@ def _store(path: Path, key: str, report: ParseReport) -> None:
                        "skipped": [[issue.line, issue.reason] for issue in report.skipped]},
                       separators=(",", ":")).encode("utf-8")
     with suppress(OSError), atomic_open(path, binary=True) as fh:
-        np.savez(fh, key=np.frombuffer(key.encode("ascii"), dtype=np.uint8),
-                 text=np.frombuffer(text, dtype=np.uint8), year=columns.year,
-                 workers=columns.workers, money=columns.money, present=columns.present,
-                 codes=columns.codes)
+        _savez(fh, key=np.frombuffer(key.encode("ascii"), dtype=np.uint8),
+               text=np.frombuffer(text, dtype=np.uint8), year=columns.year,
+               workers=columns.workers, money=columns.money, present=columns.present,
+               codes=columns.codes)
+
+
+def _savez(file: IO[bytes], **arrays: np.ndarray) -> None:
+    """Write the archive ``np.savez(file, **arrays)`` writes, with the bytes of
+    each C- or F-ordered array handed to its zip member as a view, where
+    np.savez copies them: a parse's ``money`` is F-ordered, 12.8 MB at 200k rows."""
+    with zipfile.ZipFile(file, "w") as archive:
+        for name, array in arrays.items():
+            header = np.lib.format.header_data_from_array_1_0(array)
+            # An F-ordered array is stored as np.savez stores it: its
+            # transpose's bytes, with fortran_order in the header.
+            data = np.ascontiguousarray(array.T if header["fortran_order"] else array)
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(data.reshape(-1).view(np.uint8))

@@ -396,12 +396,14 @@ _SIZES = "firm 'a': scale, capital and labor must be finite and > 0"
     ({"labor": [10.0]}, {}, 2, "firm 'a': labor must be a JSON number, got [10.0]"),
     ({"scale": 5e-324, "beta": 0.3}, {}, 4,
      "firm 'a': marginal labor productivity is 0.0, so the relative spread is undefined"),
+    ({"scale": 1e308, "capital": 1e10}, {}, 4,
+     "firm 'a': marginal labor productivity is inf, beyond the float range"),
 ], ids=["nan-scale", "nan-labor", "infinite-capital", "huge-int-labor", "nan-delta",
         "infinite-delta", "overflowing-max-iter", "negative-max-iter", "fractional-max-iter",
         "bool-max-iter", "overflowing-tol", "infinite-tol", "infinite-labor-floor",
         "string-tol", "bool-tol", "bool-labor-floor", "string-labor-floor",
         "unknown-step-kind", "integer-id", "bool-scale", "string-alpha", "null-beta",
-        "bool-capital", "list-labor", "zero-marginal-product"])
+        "bool-capital", "list-labor", "zero-marginal-product", "overflowing-marginal-product"])
 def test_a_non_finite_or_non_integer_scenario_value_is_refused(firm, top, code, message,
                                                                 tmp_path):
     (tmp_path / "scenario.json").write_text(_scenario_text(firm, **top))
@@ -412,6 +414,33 @@ def test_a_non_finite_or_non_integer_scenario_value_is_refused(firm, top, code, 
     assert result.stderr == prefix + message + "\n"
     assert result.stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_an_overflowing_total_labor_is_a_numerical_error(tmp_path):
+    firms = [{**firm, "labor": 1e308, "beta": 0.999} for firm in _TWO_FIRMS]
+    (tmp_path / "scenario.json").write_text(json.dumps({"firms": firms}))
+    result = run_process(tmp_path, "simulate", "--scenario", "scenario.json", "--out", "out")
+    assert result.returncode == 4, result.stderr
+    assert result.stderr == "error (numerical): total labor is inf, beyond the float range\n"
+    assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_overflowing_total_output_is_written_as_inf(fmt, tmp_path):
+    firms = [{**firm, "scale": 1e308, "alpha": 0.5, "beta": 0.5, "capital": 4.0, "labor": labor}
+             for firm, labor in zip(_TWO_FIRMS, (1.0, 4.0))]
+    (tmp_path / "scenario.json").write_text(json.dumps({"firms": firms, "max_iter": 3}))
+    result = run_process(tmp_path, "simulate", "--scenario", "scenario.json", "--out", "out",
+                         "--format", fmt)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""  # no numpy warning, which would be an error here
+    if fmt == "csv":
+        totals = [row["total_output"] for row in read_rows(tmp_path / "out/trace.csv")]
+    else:
+        doc = json.loads((tmp_path / "out/trace.json").read_text())
+        totals = [row["total_output"] for row in doc["data"]]
+    assert totals == ["inf"] * 4
 
 
 @pytest.mark.parametrize("command, option, text", [

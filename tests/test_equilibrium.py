@@ -21,6 +21,7 @@ from firmprod import (
     profit,
     simulate_reallocation,
 )
+from firmprod import equilibrium
 from firmprod.errors import (
     InsufficientDataError,
     NumericalError,
@@ -193,6 +194,21 @@ def test_dispersion_needs_two_firms():
 def test_dispersion_rejects_nonpositive_inputs():
     with pytest.raises(ValidationError):
         equilibrium_dispersion([(0.6, 100.0, 0.0), (0.6, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("triple", [
+    (0.5, math.nan, 1.0), (math.nan, 1.0, 1.0), (0.5, 1.0, math.nan), (0.5, math.inf, 1.0),
+    (math.inf, 1.0, 1.0), (0.5, 1.0, math.inf), (0.5, 10**400, 1.0),
+], ids=["nan-value", "nan-beta", "nan-labor", "inf-value", "inf-beta", "inf-labor",
+        "huge-int-value"])
+def test_dispersion_rejects_non_finite_inputs(triple):
+    with pytest.raises(ValidationError, match="must be finite"):
+        equilibrium_dispersion([triple, (0.5, 1.0, 1.0)])
+
+
+def test_dispersion_rejects_an_overflowing_product():
+    with pytest.raises(ValidationError, match=r"beta \* value / labor is inf"):
+        equilibrium_dispersion([(0.5, 1.0, 1.0), (0.5, 1e308, 1e-10)])
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +416,7 @@ def _reference_reallocation(firms, *, step_rule, tol, max_iter, labor_floor):
                 delta *= step_rule.shrink
             else:
                 delta = 0.0
-        if delta <= 0:
+        if delta <= 0 or labors[donor] - delta <= 0:  # a move may not empty the donor
             break
         labors[donor] -= delta
         labors[recipient] += delta
@@ -490,6 +506,55 @@ def test_large_tied_population_matches_full_recompute_reference(step_rule):
     assert first.mover_to == min(f.id for f in high_group) != high_group[0].id
 
 
+_PINNED = random_firms(6, seed=28)  # the 5th move's donor is the smallest firm, at the floor
+
+_BLOCK_CASES = {
+    # case id: (firms, simulate/reference keyword arguments)
+    "converges": (random_firms(5, seed=77), dict(step_rule=AdaptiveStep(), tol=1e-8,
+                                                  max_iter=1000, labor_floor=1e-9)),
+    "max-iter-0": (random_firms(5, seed=77), dict(step_rule=AdaptiveStep(), tol=1e-8,
+                                                   max_iter=0, labor_floor=1e-9)),
+    "max-iter-reached": (random_firms(6, seed=5), dict(step_rule=FixedStep(0.25), tol=1e-12,
+                                                        max_iter=9, labor_floor=1e-9)),
+    "donor-at-floor": (_PINNED, dict(step_rule=AdaptiveStep(), tol=1e-9, max_iter=1000,
+                                     labor_floor=min(f.labor for f in _PINNED))),
+    "donor-emptied": ([firm(id="a", capital=0.1, labor=12.0), firm(id="b", capital=0.1, labor=3.0),
+                       firm(id="c", capital=1.0, labor=7.0)],
+                      dict(step_rule=FixedStep(5.0), tol=1e-8, max_iter=1000, labor_floor=0.0)),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_block_summed_totals_match_the_reference_on_every_exit_path(case, rows, monkeypatch):
+    # The trace totals are summed once per block of `rows` steps, so with a
+    # run of s steps the last sum covers s % rows steps, or a full block.
+    firms, kwargs = _BLOCK_CASES[case]
+    monkeypatch.setattr(equilibrium, "_CELLS", rows * len(firms))
+    trace = simulate_reallocation(firms, **kwargs)
+    steps, converged, labors = _reference_reallocation(firms, **kwargs)
+    assert len(trace.total_labor) == len(trace.total_output) == len(steps)
+    assert trace.steps == steps
+    assert trace.converged == converged == (case == "converges")
+    assert [f.labor for f in trace.final_firms] == labors
+    # Step counts 39, 1, 10, 5 and 3 end both on full and on partial blocks.
+    assert len(steps) == {"converges": 39, "max-iter-0": 1, "max-iter-reached": 10,
+                          "donor-at-floor": 5, "donor-emptied": 3}[case]
+
+
+def test_block_sums_over_many_firms_match_the_reference():
+    # Above 256 firms numpy's pairwise sum splits each row twice, so the
+    # per-block row sums must still add in the order of a per-step sum.
+    firms = random_firms(300, seed=19)
+    kwargs = dict(step_rule=AdaptiveStep(), tol=1e-6, max_iter=100_000, labor_floor=1e-9)
+    trace = simulate_reallocation(firms, **kwargs)
+    steps, converged, labors = _reference_reallocation(firms, **kwargs)
+    assert converged and trace.converged
+    assert len(steps) > equilibrium._CELLS // len(firms)  # more than one block
+    assert trace.steps == steps
+    assert [f.labor for f in trace.final_firms] == labors
+
+
 def test_overshoot_probe_overflow_matches_reference():
     # Near-zero labor with beta close to 0 pushes a probed marginal product
     # past the float range: numpy gives inf, Python float ** would raise.
@@ -541,6 +606,35 @@ def test_a_zero_marginal_product_is_a_numerical_error():
     firms = [firm(id="a", scale=5e-324, beta=0.3), firm(id="b")]
     with pytest.raises(NumericalError, match="firm 'a': marginal labor productivity is 0.0"):
         simulate_reallocation(firms)
+
+
+def test_an_overflowing_marginal_product_is_a_numerical_error():
+    # beta * scale * capital**alpha overflows, so the spread would be inf.
+    firms = [firm(id="a", scale=1e308, capital=1e10), firm(id="b")]
+    with pytest.raises(NumericalError,
+                       match="firm 'a': marginal labor productivity is inf, beyond the float range"):
+        simulate_reallocation(firms)
+
+
+def test_an_overflowing_total_labor_is_a_numerical_error():
+    firms = [firm(id="a", beta=0.999, labor=1e308), firm(id="b", beta=0.999, labor=1e308)]
+    with pytest.raises(NumericalError, match="total labor is inf, beyond the float range"):
+        simulate_reallocation(firms)
+
+
+def test_an_overflowing_total_output_is_traced_as_inf():
+    # scale * capital**alpha overflows; the marginal products do not.
+    firms = [firm(id="a", scale=1e308, alpha=0.5, beta=0.5, capital=4.0, labor=1.0),
+             firm(id="b", scale=1e308, alpha=0.5, beta=0.5, capital=4.0, labor=4.0)]
+    kwargs = dict(step_rule=AdaptiveStep(), tol=1e-8, max_iter=5, labor_floor=1e-9)
+    trace = simulate_reallocation(firms, **kwargs)  # warnings are errors here
+    with np.errstate(over="ignore"):
+        steps, _, labors = _reference_reallocation(firms, **kwargs)
+    assert trace.steps == steps
+    assert [f.labor for f in trace.final_firms] == labors
+    assert trace.iterations == 5
+    assert np.isinf(trace.total_output).all()
+    assert np.isfinite(trace.max_spread).all()
 
 
 def test_theory_firm_validation():

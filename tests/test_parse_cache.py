@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -188,17 +190,17 @@ def test_firm_ids_round_trip_exactly(workdir, parses):
 
 
 def test_the_cache_stores_and_loads_the_arrays_of_the_columns(workdir, parses, monkeypatch):
-    """A miss hands np.savez the parse's own money, present and codes arrays,
+    """A miss hands the writer the parse's own money, present and codes arrays,
     and a hit loads arrays of the same dtype, shape and values."""
     write_input("hostile")
     saved = {}
-    savez = np.savez
+    savez = _parse_cache._savez
 
     def recording(file, **arrays):
         saved.update(arrays)
         savez(file, **arrays)
 
-    monkeypatch.setattr(np, "savez", recording)
+    monkeypatch.setattr(_parse_cache, "_savez", recording)
     parsed = cli._load("in.csv", None, strict=False).dataset.columns
     loaded = cli._load("in.csv", None, strict=False).dataset.columns
     assert len(parses) == 1
@@ -211,6 +213,39 @@ def test_the_cache_stores_and_loads_the_arrays_of_the_columns(workdir, parses, m
         assert stored.dtype == back.dtype == _parse_cache._LAYOUT[name]
         assert stored.shape == back.shape == shape
         assert np.array_equal(stored, back)
+
+
+def test_the_writer_writes_the_members_np_savez_writes():
+    arrays = {"key": np.frombuffer(b"abc", dtype=np.uint8), "empty": np.zeros((3, 0)),
+              "money": np.arange(24.0).reshape(3, 8), "present": np.eye(3, dtype=np.bool_),
+              "codes": np.arange(6, dtype=np.int32).reshape(2, 3),
+              "strided": np.arange(10, dtype=np.int64)[::2], "fortran": np.arange(12.0).reshape(4, 3).T}
+    ours, theirs = io.BytesIO(), io.BytesIO()
+    _parse_cache._savez(ours, **arrays)
+    np.savez(theirs, **arrays)
+    with zipfile.ZipFile(ours) as a, zipfile.ZipFile(theirs) as b:
+        assert a.namelist() == b.namelist() == [f"{name}.npy" for name in arrays]
+        for name in a.namelist():
+            assert a.getinfo(name).compress_type == zipfile.ZIP_STORED
+            assert a.read(name) == b.read(name)
+    ours.seek(0)
+    with np.load(ours) as loaded:
+        for name, array in arrays.items():
+            assert loaded[name].dtype == array.dtype
+            assert np.array_equal(loaded[name], array)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_the_writer_copies_no_contiguous_array(order, tmp_path):
+    money = np.ones((8, 100_000), order=order)  # 6.4 MB, F-ordered as a parse's money
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "cache.npz", "wb") as fh:
+            _parse_cache._savez(fh, money=money)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < money.nbytes // 8
 
 
 def test_a_strict_hit_exits_3_with_the_line_of_a_strict_parse(tmp_path):
