@@ -12,9 +12,26 @@ output paths that cannot be written), 3 data error, 4 numerical degeneracy.
 The layers are bound by module name below. ``import firmprod`` registers each
 one lazily, so a layer's body runs on its first attribute access and a
 command loads only the layers it calls.
+
+A CLI process sets up the garbage collector once. Nearly all that importing
+numpy, click and this module allocates lives until the process exits, yet each
+full collection, and the last one at exit, would traverse it again. So when
+the module runs as the program it collects nothing while it imports, and
+:func:`run` moves that heap to the permanent generation (``gc.freeze``) and
+turns collection back on before the command dispatches; the command's own
+objects are collected as usual. That takes 26 to 38 ms off each command, about
+15% of its wall time (README). The installed ``firmprod`` script imports this
+module before it calls :func:`run`, so it gets the freeze but still collects
+while importing. In-process callers of :func:`main`, such as tests and the
+benchmark's traced runs, find the collector as they left it.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # until run(), which freezes what the imports built
 
 import functools
 import math
@@ -516,5 +533,12 @@ def simulate(scenario_path: str, out_dir: str, fmt: str) -> None:
     click.echo(f"{status} after {trace.iterations} iterations; wrote {target}")
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Run the CLI as a process: freeze the import-time heap, then dispatch."""
+    gc.freeze()
+    gc.enable()
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -230,7 +230,9 @@ def equilibrium_dispersion(
 
     Returns the max relative spread (max-min)/min and the coefficient of
     variation; both are exactly 0 iff all products are equal. Every beta,
-    value, labor and product must be finite.
+    value, labor and product must be finite; a spread, mean or standard
+    deviation of the products beyond the float range is a
+    :class:`NumericalError`.
     """
     if len(firms) < 2:
         raise InsufficientDataError("dispersion needs at least 2 firms")
@@ -247,10 +249,18 @@ def equilibrium_dispersion(
                 f"beta * value / labor is {product!r} for {(beta, value, labor)!r}")
         products.append(product)
     arr = np.asarray(products)
-    lowest = float(arr.min())
-    spread = float((arr.max() - lowest) / lowest)
-    mean = float(arr.mean())
-    cv = float(arr.std() / mean)
+    # Overflow is raised below as NumericalError, so numpy need not warn of it.
+    with np.errstate(all="ignore"):
+        lowest = float(arr.min())
+        highest = arr.max()
+        spread = float((highest - lowest) / lowest)
+        mean = float(arr.mean())
+        std = arr.std()
+        cv = float(std / mean)
+    if not all(map(math.isfinite, (spread, mean, std))):
+        raise NumericalError(
+            f"the dispersion of {len(products)} products from {lowest!r} to {float(highest)!r} "
+            "is beyond the float range")
     return DispersionStats(max_relative_spread=spread, coefficient_of_variation=cv)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -209,6 +210,27 @@ def test_dispersion_rejects_non_finite_inputs(triple):
 def test_dispersion_rejects_an_overflowing_product():
     with pytest.raises(ValidationError, match=r"beta \* value / labor is inf"):
         equilibrium_dispersion([(0.5, 1.0, 1.0), (0.5, 1e308, 1e-10)])
+
+
+@pytest.mark.parametrize("firms, products", [
+    ([(0.5, 1e300, 1.0), (0.5, 1.0, 1.0)], "from 0.5 to 5e+299"),
+    ([(0.9, 1.7e308, 1.0), (0.9, 1.7e308, 1.0)], "from 1.53e+308 to 1.53e+308"),
+    ([(1.0, 1e-200, 1.0), (1.0, 1e150, 1.0)], "from 1e-200 to 1e+150"),
+], ids=["std-overflows", "mean-overflows", "spread-overflows"])
+def test_dispersion_beyond_the_float_range_is_a_numerical_error(firms, products):
+    # finite products whose squares, sum or ratio overflow
+    with pytest.raises(NumericalError, match=re.escape(f"dispersion of 2 products {products} is")):
+        equilibrium_dispersion(firms)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dispersion_keeps_the_bits_of_the_plain_formula(seed):
+    rng = np.random.default_rng(seed)
+    firms = list(zip(rng.uniform(0.1, 0.9, 20), rng.lognormal(5, 3, 20), rng.uniform(1, 50, 20)))
+    arr = np.asarray([beta * value / labor for beta, value, labor in firms])
+    stats = equilibrium_dispersion(firms)
+    assert stats.max_relative_spread == float((arr.max() - arr.min()) / arr.min())
+    assert stats.coefficient_of_variation == float(arr.std() / arr.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""The package's lazy exports and what each command loads."""
+"""The package's lazy exports, what each command loads, and what a CLI process
+does with the garbage collector."""
 
 from __future__ import annotations
 
+import gc
 import importlib
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +18,7 @@ import pytest
 
 import firmprod
 from conftest import SRC, child_env
+from firmprod import cli
 
 #: The modules ``import firmprod`` registers without running them.
 LAZY_MODULES = ("_emit", "_parse_cache", "errors", "equilibrium", "ingest", "measures",
@@ -169,3 +173,58 @@ def test_each_command_runs_exactly_the_layers_of_the_readme_table(tmp_path, argv
     # Only the commands that read --input keep a parse cache beside it.
     caches = list(tmp_path.rglob(".firmprod-cache"))
     assert caches == ([tmp_path / ".firmprod-cache"] if "_parse_cache" in layers else [])
+
+
+# A child reports, at exit, whether the collector is on and how many objects are
+# frozen, and whether it was on when numpy and click were first imported.
+_COLLECTOR = """
+import atexit, gc, json, sys
+imported = {}
+def audit(event, args):
+    if event == "import" and args[0] in ("numpy", "click"):
+        imported.setdefault(args[0], gc.isenabled())
+sys.addaudithook(audit)
+atexit.register(lambda: print("\\nGC " + json.dumps(
+    {"enabled": gc.isenabled(), "frozen": gc.get_freeze_count(), "imported": imported})))
+sys.argv = ["firmprod", "simulate", "--scenario", "scenario.json", "--out", "out"]
+"""
+
+
+def _collector(tmp_path: Path, body: str) -> dict:
+    shutil.copy(Path(__file__).parent / "golden" / "sim_scenario.json", tmp_path / "scenario.json")
+    proc = subprocess.run([sys.executable, "-c", _COLLECTOR + body], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "trace.csv").is_file()
+    return json.loads(proc.stdout.rsplit("\nGC ", 1)[1])
+
+
+def test_a_cli_process_imports_uncollected_and_freezes_that_heap(tmp_path):
+    state = _collector(tmp_path, """
+import runpy
+runpy.run_module("firmprod.cli", run_name="__main__", alter_sys=True)
+""")
+    assert state["imported"] == {"numpy": False, "click": False}
+    assert state["enabled"] and state["frozen"] > 0
+
+
+def test_the_installed_script_freezes_the_import_heap(tmp_path):
+    # The same two lines as the wrapper an installer writes for [project.scripts].
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^firmprod = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    state = _collector(tmp_path, f"from {module} import {function}\nsys.exit({function}())")
+    assert state["enabled"] and state["frozen"] > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_an_in_process_command_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    shutil.copy(Path(__file__).parent / "golden" / "sim_scenario.json", tmp_path / "scenario.json")
+    argv = ["simulate", "--scenario", str(tmp_path / "scenario.json"),
+            "--out", str(tmp_path / "out")]
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        cli.main(argv, standalone_mode=False)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
