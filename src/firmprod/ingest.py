@@ -17,10 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import IO, TextIO
 
@@ -47,6 +45,7 @@ from .records import (  # the record types and field names stay importable from 
     Dataset,
     FirmRecord,
     _check_fields,
+    _encode,
 )
 
 DEFAULT_YEAR_RANGE = (1980, 2030)
@@ -144,53 +143,46 @@ class ParseReport:
         return len(self.skipped)
 
 
-def _split_at_lone_cr(lines: Iterable[str]) -> Iterator[str]:
-    """``lines`` split at a lone CR too, as a file opened with ``newline=""`` splits them."""
-    for line in lines:
-        cr = line.find("\r", 0, -1)  # a CR before the last character
-        if cr < 0 or line[cr + 1:] == "\n":
-            yield line
-        else:  # pieces that each end at LF, CRLF or a lone CR, or end the line
-            yield from re.findall(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", line)
-
-
-class _LineFilter:
-    """Feeds the csv reader its lines while tracking source line numbers.
+def _rows(lines: Iterable[str], delimiter: str) -> Iterator[tuple[int, list[str] | str]]:
+    """``(line, cells)`` of each row csv splits from ``lines``, or ``(line, reason)``
+    of one it can not split (such as a cell over ``csv.field_size_limit()``); ``line``
+    is the 1-based number of the row's last line.
 
     A line that would start a record is dropped when it is blank or its
     first non-blank character is ``#``, and no ``delimiter`` comes before
     that character: under a tab or space delimiter, a line of delimiters
     or one whose empty first cell is followed by ``#`` is a row. A line
-    the reader takes while inside a quoted cell is data, whatever it holds;
-    the reader's consumer sets ``record_start`` after each row (or csv
-    error) it takes. A UTF-8 byte-order mark in front of the first line is
-    dropped.
+    the reader takes while inside a quoted cell is data, whatever it holds.
+    A UTF-8 byte-order mark in front of the first line is dropped.
     """
+    lineno = 0
+    record_start = True
 
-    def __init__(self, lines: Iterable[str], delimiter: str):
-        self.lineno = 0
-        self.record_start = True
-        self._delimiter = delimiter
-        self._lines = self._filter(lines)
-
-    def __iter__(self) -> Iterator[str]:
-        return self._lines
-
-    def _filter(self, lines: Iterable[str]) -> Iterator[str]:
-        lines = iter(lines)
-        first = next(lines, None)
-        if first is None:
-            return
-        for self.lineno, line in enumerate(chain([first.removeprefix("\ufeff")], lines), 1):
-            if self.record_start:
+    def source() -> Iterator[str]:
+        nonlocal lineno, record_start
+        for lineno, line in enumerate(lines, 1):
+            if record_start:
+                if lineno == 1:
+                    line = line.removeprefix("\ufeff")
                 # only a line that starts blank or with '#' can be skipped
                 if not line or line[0] == "#" or line[0].isspace():
                     rest = line.lstrip()
                     if ((not rest or rest[0] == "#")
-                            and self._delimiter not in line[:len(line) - len(rest)]):
+                            and delimiter not in line[:len(line) - len(rest)]):
                         continue
-                self.record_start = False
+                record_start = False
             yield line
+
+    reader = csv.reader(source(), delimiter=delimiter)
+    while True:
+        try:
+            for row in reader:
+                record_start = True
+                yield lineno, row
+            return
+        except csv.Error as exc:
+            record_start = True
+            yield lineno, str(exc)
 
 
 def _parse_money(text: str, field: str) -> float:
@@ -263,24 +255,36 @@ def _numbers(cells: list[str], convert, fill: object, flagged: set[int]) -> list
 
 
 class _BlockParser:
-    """Converts blocks of split rows of one file into column parts.
+    """Converts blocks of split rows of one file, under its header row, into columns.
 
     A block's cells are converted a column at a time and checked
     column-wise. A row that fails any check is flagged and handed to
     :func:`_record_from_row`, which either gives the row's values after all
     (a short row, a cell padded with whitespace ``int`` does not take) or
     the reason the row is skipped. Keys are claimed first-wins in row order.
+    The key fields of every block are encoded into one name table.
     """
 
-    def __init__(self, header_index: Mapping[str, int], schema: CsvSchema):
-        self.header_index = header_index
+    def __init__(self, header: list[str], schema: CsvSchema):
+        names = [name.strip() for name in header]
+        positions = {name: idx for idx, name in enumerate(names)}
+        self.header_index: dict[str, int] = {}
+        for field in CANONICAL_COLUMNS:
+            column = schema.columns[field]
+            if names.count(column) > 1:
+                raise SchemaError(f"column {column!r} (field {field}) appears more than once")
+            if column in positions:
+                self.header_index[field] = positions[column]
+            elif field in MANDATORY_FIELDS:
+                raise SchemaError(f"missing mandatory column {column!r} (field {field})")
         self.schema = schema
-        self.width = max(header_index.values()) + 1
+        self.width = max(self.header_index.values()) + 1
         self.seen: set[tuple[str, int]] = set()
-        self.parts: list[Columns] = []
+        self.names: dict[str, int] = {}
+        self.arrays: list[tuple[np.ndarray, ...]] = []  # each block's Columns arrays
 
     def __call__(self, rows: list[list[str]]) -> list[tuple[int, str]]:
-        """Convert one block into a part; the (row index, reason) of each row left out."""
+        """Convert one block; the (row index, reason) of each row left out."""
         n = len(rows)
         if min(map(len, rows)) < self.width:  # a short row reads empty cells
             for row in rows:
@@ -370,19 +374,27 @@ class _BlockParser:
             return values if len(kept) == n else [values[i] for i in kept]
 
         pick = np.array(kept, dtype=np.intp)
-        self.parts.append(Columns.from_arrays(
-            select(firm_id),
+        cells = [t for field in KEY_FIELDS for t in select(text[field])]
+        self.arrays.append((
+            np.array(select(firm_id), dtype=object),
             np.array(select(year), dtype=np.int64),
             np.array(select(workers), dtype=np.int64),
             money[:, pick],
             present[:, pick],
-            {field: select(text[field]) for field in KEY_FIELDS},
+            _encode(cells, self.names).reshape(len(KEY_FIELDS), len(kept)),
         ))
         return issues
 
+    def columns(self) -> Columns:
+        """The kept rows of every block so far, in row order."""
+        if not self.arrays:
+            return Columns.from_records(())
+        joined = (np.concatenate(arrays, axis=-1) for arrays in zip(*self.arrays))
+        return Columns(*joined, self.names)
+
 
 def parse_firm_records(
-    source: str | Path | TextIO | IO[bytes],
+    source: str | Path | IO[bytes],
     schema: CsvSchema | None = None,
     *,
     strict: bool = False,
@@ -396,95 +408,66 @@ def parse_firm_records(
     is preserved; a repeated (firm_id, year) key within one file is a row
     error, and the first row with the key is kept.
 
-    A path is read as its bytes. Bytes are decoded as UTF-8, and a byte
-    stream is left open. Lines end at LF, CRLF or CR, in bytes and in text
-    alike. The dataset's provenance is the stream's ``name`` when that is a
+    ``source`` is a path or a byte stream, which is left open; a text
+    stream raises ``TypeError``, since a file opened in text mode has
+    already turned a quoted CR into LF. Bytes are decoded as UTF-8, and
+    lines end at LF, CRLF or CR. An undecodable byte raises
+    :class:`DataError` once the rows before its chunk of input are parsed.
+    The dataset's provenance is the stream's ``name`` when that is a
     string, so the path of a file opened from one.
     """
     schema = schema or CsvSchema()
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return parse_firm_records(fh, schema, strict=strict)
+    read = getattr(source, "read", None)
+    if read is None or not isinstance(read(0), bytes):
+        raise TypeError("parse_firm_records reads a path or a byte stream; "
+                        "open the file with 'rb'")
     name = getattr(source, "name", None)
     provenance = (name,) if isinstance(name, str) else ()
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):  # type: ignore[union-attr]
-        text = io.TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
-        try:
-            return _parse_lines(text, schema, strict, provenance)
-        finally:
-            text.detach()  # a collected wrapper would close the caller's stream
-    lines = _split_at_lone_cr(source)  # type: ignore[arg-type]
-    return _parse_lines(lines, schema, strict, provenance)
-
-
-def _parse_lines(lines: Iterable[str], schema: CsvSchema, strict: bool,
-                 provenance: tuple[str, ...]) -> ParseReport:
-    """:func:`parse_firm_records` of lines split as by a file opened with ``newline=""``."""
-    line_filter = _LineFilter(lines, schema.delimiter)
-    reader = csv.reader(line_filter, delimiter=schema.delimiter)
+    text = io.TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
+    rows = _rows(text, schema.delimiter)
     skipped: list[RowIssue] = []
+    block: list[list[str]] = []
+    numbers: list[int] = []
 
-    def report(events: list[tuple[tuple[int, int], int, str]]) -> None:
-        """Report bad rows in input order; in strict mode the first one raises."""
-        for _, line, reason in sorted(events):
-            if strict:
-                raise RowError(line, reason)
-            skipped.append(RowIssue(line, reason))
+    def report(line: int, reason: str) -> None:
+        if strict:
+            raise RowError(line, reason)
+        skipped.append(RowIssue(line, reason))
 
-    def read(limit: int) -> tuple[list[list[str]], list[int], list, bool | DataError]:
-        """Up to ``limit`` split rows, their line numbers, the lines csv could
-        not split, and whether input is left: ``True``, ``False``, or the
-        error of an undecodable byte, raised once the rows the reader already
-        gave are reported. Bytes are decoded a chunk at a time, so rows
-        before the byte in its chunk are not among them."""
-        rows: list[list[str]] = []
-        numbers: list[int] = []
-        errors: list[tuple[tuple[int, int], int, str]] = []
-        while True:
-            try:
-                for row in reader:
-                    line_filter.record_start = True
-                    rows.append(row)
-                    numbers.append(line_filter.lineno)
-                    if len(rows) == limit:
-                        return rows, numbers, errors, True
-                return rows, numbers, errors, False
-            except csv.Error as exc:  # such as a cell over csv.field_size_limit()
-                line_filter.record_start = True
-                errors.append(((len(rows), 0), line_filter.lineno, str(exc)))
-            except UnicodeDecodeError as exc:
-                return rows, numbers, errors, DataError(f"input is not UTF-8 text: {exc}")
+    def flush() -> None:  # before any later skip is reported, so skips keep line order
+        if block:
+            for i, reason in parse_block(block):
+                report(numbers[i], reason)
+            block.clear()
+            numbers.clear()
 
-    header, _, errors, more = read(1)
-    report(errors)
-    if isinstance(more, DataError):
-        raise more
-    if not header:
-        raise SchemaError("input has no header row")
-
-    names = [name.strip() for name in header[0]]
-    positions = {name: idx for idx, name in enumerate(names)}
-    header_index: dict[str, int] = {}
-    for field in CANONICAL_COLUMNS:
-        column = schema.columns[field]
-        if names.count(column) > 1:
-            raise SchemaError(f"column {column!r} (field {field}) appears more than once")
-        if column in positions:
-            header_index[field] = positions[column]
-        elif field in MANDATORY_FIELDS:
-            raise SchemaError(f"missing mandatory column {column!r} (field {field})")
-
-    parse_block = _BlockParser(header_index, schema)
-    while more is True:
-        rows, numbers, errors, more = read(_BLOCK_ROWS)
-        if rows:
-            errors += [((i, 1), numbers[i], reason) for i, reason in parse_block(rows)]
-        report(errors)
-    if isinstance(more, DataError):
-        raise more
-
-    columns = Columns.concat(parse_block.parts)
-    dataset = Dataset._of(columns, None, schema.currency_unit, provenance)
+    try:
+        for line, header in rows:
+            if not isinstance(header, str):
+                break
+            report(line, header)
+        else:
+            raise SchemaError("input has no header row")
+        parse_block = _BlockParser(header, schema)
+        for line, row in rows:
+            if isinstance(row, str):  # a line csv can not split
+                flush()
+                report(line, row)
+                continue
+            block.append(row)
+            numbers.append(line)
+            if len(block) == _BLOCK_ROWS:
+                flush()
+        flush()
+    except UnicodeDecodeError as exc:
+        flush()
+        raise DataError(f"input is not UTF-8 text: {exc}") from None
+    finally:
+        text.detach()  # a collected wrapper would close the caller's stream
+    dataset = Dataset._of(parse_block.columns(), None, schema.currency_unit, provenance)
     return ParseReport(dataset=dataset, skipped=tuple(skipped))
 
 

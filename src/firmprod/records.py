@@ -194,20 +194,6 @@ class Columns:
         columns._views = records
         return columns
 
-    @classmethod
-    def concat(cls, parts: Sequence[Columns]) -> Columns:
-        """The rows of several containers, one after another."""
-        if not parts:
-            return cls.from_records(())
-        table: dict[str, int] = {}
-        codes = [_encode(columns.names.tolist(), table)[columns.codes] for columns in parts]
-
-        def joined(name: str) -> np.ndarray:
-            return np.concatenate([getattr(columns, name) for columns in parts], axis=-1)
-
-        return cls(joined("firm_id"), joined("year"), joined("workers"), joined("money"),
-                   joined("present"), np.concatenate(codes, axis=-1), table)
-
     def column_codes(self, name: str, rows: np.ndarray | None = None) -> np.ndarray:
         return _take(self.codes[KEY_FIELDS.index(name)], rows)
 

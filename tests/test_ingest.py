@@ -23,6 +23,7 @@ from firmprod import (
     write_firm_records,
 )
 from firmprod.errors import (
+    DataError,
     FirmprodError,
     RowError,
     SchemaError,
@@ -30,14 +31,14 @@ from firmprod.errors import (
 )
 from firmprod.ingest import (
     CANONICAL_COLUMNS,
+    KEY_FIELDS,
     MANDATORY_FIELDS,
     OPTIONAL_FIELDS,
     SECTOR_CLASSES,
     RowIssue,
-    _LineFilter,
     _record_from_row,
+    _rows,
 )
-from firmprod.records import Columns
 
 HEADER = (
     "firm_id,year,country,sector,sector_class,revenue,cogs,workers,"
@@ -47,7 +48,7 @@ HEADER = (
 
 
 def parse(text: str, schema: CsvSchema | None = None, **kwargs):
-    return parse_firm_records(io.StringIO(text), schema, **kwargs)
+    return parse_firm_records(io.BytesIO(text.encode("utf-8")), schema, **kwargs)
 
 
 def roundtrip(dataset: Dataset, delimiter: str = ",") -> Dataset:
@@ -362,30 +363,25 @@ _TWO_ROWS = [HEADER, "F1,2003,JP,steel,manufacturing,100,40,10,,,,,,",
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
-def test_one_input_gives_one_parse_from_text_bytes_or_a_path(ending, tmp_path):
+def test_one_input_gives_one_parse_from_bytes_or_a_path(ending, tmp_path):
     text = ending.join(_TWO_ROWS) + ending
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
     stream = io.BytesIO(text.encode("utf-8"))
-    # newline="" makes a StringIO split lines as a file opened for the csv module does;
-    # a default StringIO splits only at LF, so the parser splits at a lone CR itself
-    reports = {"text": parse_firm_records(io.StringIO(text, newline="")),
-               "text-lf": parse_firm_records(io.StringIO(text)),
-               "bytes": parse_firm_records(stream),
-               "path": parse_firm_records(path)}
+    reports = {"bytes": parse_firm_records(stream), "path": parse_firm_records(path)}
     for kind, report in reports.items():
-        assert report.dataset.records == reports["text"].dataset.records, kind
+        assert report.dataset.records == reports["path"].dataset.records, kind
         assert report.skipped == (RowIssue(3, "revenue: cannot parse 'oops' as a number"),), kind
     assert [record.firm_id for record in reports["path"].dataset.records] == ["F1"]
     assert {kind: report.dataset.provenance for kind, report in reports.items()} == {
-        "text": (), "text-lf": (), "bytes": (), "path": (str(path),)}
+        "bytes": (), "path": (str(path),)}
     assert not stream.closed
     stream.seek(0)
     assert stream.read() == text.encode("utf-8")
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
-def test_a_quoted_cr_parses_from_a_text_stream_as_from_a_path(ending, tmp_path):
+def test_a_quoted_cr_parses_from_a_byte_stream_as_from_a_path(ending, tmp_path):
     rows = [HEADER, '"F\r1",2003,JP,steel,manufacturing,100,40,10,,,,,,',
             '"F\r\n2",2003,JP,steel,manufacturing,oops,40,10,,,,,,',
             "F3,2003,JP,steel,manufacturing,100,40,10,,,,,,"]
@@ -394,10 +390,19 @@ def test_a_quoted_cr_parses_from_a_text_stream_as_from_a_path(ending, tmp_path):
     path.write_bytes(text.encode("utf-8"))
     expected = parse_firm_records(path)
     assert [record.firm_id for record in expected.dataset.records] == ["F\r1", "F3"]
-    for stream in (io.StringIO(text), io.StringIO(text, newline="")):
-        report = parse_firm_records(stream)
-        assert (report.dataset.records, report.skipped) == (
-            expected.dataset.records, expected.skipped)
+    report = parse_firm_records(io.BytesIO(text.encode("utf-8")))
+    assert (report.dataset.records, report.skipped) == (expected.dataset.records, expected.skipped)
+
+
+def test_a_text_stream_is_refused_with_a_clear_error(tmp_path):
+    # A file opened in text mode turns a quoted CR into LF before the parser sees it.
+    path = tmp_path / "in.csv"
+    path.write_bytes(f'{HEADER}\n"F\r1",2003,JP,s,manufacturing,1,1,1\n'.encode())
+    message = "reads a path or a byte stream; open the file with 'rb'"
+    with open(path, encoding="utf-8") as text, pytest.raises(TypeError, match=message):
+        parse_firm_records(text)
+    with pytest.raises(TypeError, match=message):
+        parse_firm_records(io.StringIO(path.read_text(encoding="utf-8")))
 
 
 def test_a_strict_parse_of_bytes_raises_the_error_of_a_path(tmp_path):
@@ -413,16 +418,26 @@ def test_a_strict_parse_of_bytes_raises_the_error_of_a_path(tmp_path):
     assert "not UTF-8" in errors[0][1]
 
 
+def test_an_undecodable_byte_first_reports_the_bad_rows_read_before_it():
+    # the bad row sits in the block still being filled when a later chunk fails to decode
+    good = "".join(f"F{i},2003,JP,s,manufacturing,1,1,1\n" for i in range(2, 2000))
+    data = (f"{HEADER}\nF1,2003,JP,s,manufacturing,abc,1,1\n{good}").encode() + b"F\xff,2003\n"
+    with pytest.raises(DataError, match="not UTF-8"):
+        parse_firm_records(io.BytesIO(data))
+    with pytest.raises(RowError) as excinfo:
+        parse_firm_records(io.BytesIO(data), strict=True)
+    assert (excinfo.value.line, excinfo.value.reason) == (
+        2, "revenue: cannot parse 'abc' as a number")
+
+
 ROW = "F1,2003,JP,steel,manufacturing,100,40,10,,,,,,\n"
 BOM = "\ufeff"
 
 
-@pytest.mark.parametrize("kind", ["text", "bytes", "path"])
+@pytest.mark.parametrize("kind", ["bytes", "path"])
 def test_byte_order_mark_before_header_is_dropped(kind, tmp_path):
     text = BOM + HEADER + "\n" + ROW
-    if kind == "text":
-        source = io.StringIO(text)
-    elif kind == "bytes":
+    if kind == "bytes":
         source = io.BytesIO(text.encode("utf-8"))
     else:
         source = tmp_path / "bom.csv"
@@ -456,11 +471,10 @@ def _outcome(source, strict: bool) -> tuple:
 @given(st.one_of(st.text(), st.binary()), st.booleans(), st.booleans())
 def test_arbitrary_input_parses_or_raises_a_package_error(tmp_path_factory, body, with_header,
                                                           strict):
-    if with_header:  # so that most examples reach the row parser
-        body = (HEADER + "\n").encode() + body if isinstance(body, bytes) else HEADER + "\n" + body
     if isinstance(body, str):
-        _outcome(io.StringIO(body), strict)
-        return
+        body = body.encode("utf-8")
+    if with_header:  # so that most examples reach the row parser
+        body = (HEADER + "\n").encode() + body
     path = tmp_path_factory.mktemp("fuzz") / "in.csv"
     path.write_bytes(body)
     assert _outcome(io.BytesIO(body), strict) == _outcome(path, strict)
@@ -519,21 +533,21 @@ def test_write_then_parse_gives_every_record_back_under_other_delimiters(delimit
     assert roundtrip(dataset, delimiter).records == dataset.records
 
 
-@given(parts=st.lists(st.lists(firm_records(), max_size=5), max_size=4))
-@example(parts=[_hostile[:2], [], _hostile[2:]])
-def test_concat_of_whole_parts_holds_every_record_in_order(parts):
-    columns = Columns.concat([Columns.from_records(part) for part in parts])
-    joined = [record for part in parts for record in part]
-    assert len(columns) == len(joined)
-    assert columns._build_views() == tuple(joined)
-    assert columns.keys() == [record.key for record in joined]
-
-
-def test_concat_of_no_parts_is_empty():
-    columns = Columns.concat([])
-    assert len(columns) == 0
-    assert columns.keys() == []
-    assert columns.records() == ()
+@given(records=st.lists(firm_records(), max_size=8, unique_by=lambda r: r.key),
+       block_rows=st.sampled_from([1, 2, 3]))
+@example(records=_hostile, block_rows=1)
+def test_a_parse_over_many_blocks_keeps_one_name_table(records, block_rows):
+    buffer = io.StringIO()
+    write_firm_records(Dataset(records=tuple(records)), buffer)
+    with mock.patch("firmprod.ingest._BLOCK_ROWS", block_rows):
+        columns = parse(buffer.getvalue()).dataset.columns
+    assert columns._build_views() == tuple(records)
+    assert columns.keys() == [record.key for record in records]
+    names = columns.names.tolist()
+    assert len(set(names)) == len(names)  # every block encodes into the one table
+    for row, field in enumerate(KEY_FIELDS):
+        assert columns.names[columns.codes[row]].tolist() == [
+            getattr(record, field) for record in records]
 
 
 def test_dataset_duplicate_error_lists_each_repeat_in_order(make_record):
@@ -564,13 +578,27 @@ def test_firm_id_starting_with_hash_round_trips():
 
 
 def test_oversized_cell_is_a_skipped_row():
-    text = HEADER + "\n" + "F0," + "9" * 200_000 + ",JP,s,manufacturing,1,1,1\n" + ROW
-    report = parse(text)
-    assert [issue.line for issue in report.skipped] == [2]
-    assert "field larger than field limit" in report.skipped[0].reason
-    assert [r.firm_id for r in report.dataset.records] == ["F1"]
-    with pytest.raises(RowError, match="line 2"):
-        parse(text, strict=True)
+    lines = [HEADER, "F1,2003,JP,s,manufacturing,1,1,1",
+             "F2,2003,JP,s,manufacturing,abc,1,1",
+             "F0," + "9" * 200_000 + ",JP,s,manufacturing,1,1,1",
+             "F1,2003,JP,s,manufacturing,2,1,1",
+             "F3,2003,JP,s,services,1,1,1",
+             "F4,2003,JP,s,manufacturing,1,1,1", "F5,2003,JP,s,manufacturing,1,1,1"]
+    text = "\n".join(lines) + "\n"
+    for block_rows in (1, 2, 1024):  # a csv error inside a block and at a block's start
+        with mock.patch("firmprod.ingest._BLOCK_ROWS", block_rows):
+            report = parse(text)
+            with pytest.raises(RowError) as excinfo:
+                parse(text, strict=True)
+        assert [r.firm_id for r in report.dataset.records] == ["F1", "F4", "F5"]
+        assert [issue.line for issue in report.skipped] == [3, 4, 5, 6]
+        assert report.skipped[0].reason == "revenue: cannot parse 'abc' as a number"
+        assert "field larger than field limit" in report.skipped[1].reason
+        assert report.skipped[2].reason == "duplicate (firm_id, year) key (F1, 2003)"
+        assert report.skipped[3].reason.startswith("sector_class must be one of")
+        assert (excinfo.value.line, excinfo.value.reason) == (3, report.skipped[0].reason)
+        assert [(issue.line, issue.reason) for issue in report.skipped] == (
+            _row_by_row(text, CsvSchema(), strict=False)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +789,7 @@ def test_parser_matches_the_reference_row_loop(row_file, strict):
     text, schema = row_file
     records, skipped, row_error = _reference_parse(text, schema, strict)
     try:
-        report = parse_firm_records(io.StringIO(text), schema, strict=strict)
+        report = parse(text, schema, strict=strict)
     except RowError as exc:
         assert (exc.line, exc.reason) == row_error
         return
@@ -778,18 +806,16 @@ def test_parser_matches_the_reference_row_loop(row_file, strict):
 def _row_by_row(text, schema, strict):
     """(field tuples, skipped (line, reason) pairs, strict (line, reason) or None):
     each row through ``_record_from_row`` alone, keys claimed first-wins."""
-    line_filter = _LineFilter(io.StringIO(text), schema.delimiter)
-    reader = csv.reader(line_filter, delimiter=schema.delimiter)
-    header = next(reader)
-    line_filter.record_start = True
+    rows = _rows(io.StringIO(text, newline=""), schema.delimiter)
+    _, header = next(rows)
     positions = {name.strip(): idx for idx, name in enumerate(header)}
     header_index = {field: positions[schema.columns[field]] for field in CANONICAL_COLUMNS
                     if schema.columns[field] in positions}
     records, skipped, seen = [], [], set()
-    for row in reader:
-        line_filter.record_start = True
-        line = line_filter.lineno
+    for line, row in rows:
         try:
+            if isinstance(row, str):  # a line csv can not split: the reason is the issue
+                raise ValueError(row)
             values = _record_from_row(row, header_index, schema)
         except (ValueError, ValidationError) as exc:
             issue = (line, str(exc))
@@ -839,7 +865,7 @@ def test_block_parser_matches_the_row_by_row_loop(hostile_file, strict, block_ro
     records, skipped, row_error = _row_by_row(text.removeprefix("\ufeff"), schema, strict)
     with mock.patch("firmprod.ingest._BLOCK_ROWS", block_rows):  # most inputs span blocks
         try:
-            report = parse_firm_records(io.StringIO(text), schema, strict=strict)
+            report = parse(text, schema, strict=strict)
         except RowError as exc:
             assert (exc.line, exc.reason) == row_error
             return
