@@ -349,11 +349,13 @@ def fit_production(front: _Front, pool_years: bool, rts_tol: float) -> None:
     fits, failures = production.fit_by_stratum(records, _basis(front.basis), ctx,
                                                pool_years=pool_years)
     regimes = [production.classify_returns(fit, rts_tol) for fit in fits.values()]
+    # Array columns: each is formatted in one pass, not cell by cell.
+    floats = np.array(_fields(fits.values(), "log_a", "alpha", "beta", "se_log_a", "se_alpha",
+                              "se_beta", "r2"), dtype=np.float64)
+    counts = np.array(_fields(fits.values(), "n_used", "excluded"), dtype=np.int64)
     table = Table(
-        *_transpose(fits, 3),
-        *_fields(fits.values(), "log_a", "alpha", "beta", "se_log_a", "se_alpha", "se_beta",
-                 "r2", "n_used", "excluded"),
-        [regime.sum_elasticities for regime in regimes],
+        *_transpose(fits, 3), *floats, *counts,
+        np.array([regime.sum_elasticities for regime in regimes], dtype=np.float64),
         [regime.classification.value for regime in regimes],
     )
     target = front.write(

@@ -98,7 +98,8 @@ class MacroContext:
     def from_rows(cls, rows: Iterable[Mapping[str, object]]) -> MacroContext:
         """Entries from rows that hold ``country`` (a string), ``year`` (an
         integer) and ``labor_share``, ``gdp`` and ``exchange_rate`` (numbers;
-        the last two may be absent or ``None``). A bool is none of these."""
+        the last two may be absent or ``None``). A bool is none of these.
+        Two entries for one (country, year) are refused."""
         entries: dict[tuple[str, int], MacroEntry] = {}
         for row in rows:
             try:
@@ -115,7 +116,10 @@ class MacroContext:
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad macro entry {row!r}: {exc}") from exc
-            entries[(country, int(year))] = entry
+            key = (country, int(year))
+            if key in entries:
+                raise ConfigError(f"duplicate macro entry for ({country}, {key[1]})")
+            entries[key] = entry
         return cls(entries)
 
     @classmethod

@@ -96,23 +96,25 @@ def log_design(
     A record is usable when its value, capital, and worker count are all
     present and strictly positive; everything else is excluded and counted.
     """
-    return _usable_design(evaluate(d, value_basis, ctx), len(d))
+    _, responses, regressors = _usable_logs(evaluate(d, value_basis, ctx))
+    n = len(responses)
+    if n < 3:
+        raise _too_few(n, len(d) - n)
+    return LogDesign(responses=responses, regressors=regressors, excluded=len(d) - n)
 
 
-def _usable_design(ev: Evaluation, size: int) -> LogDesign:
-    """Log design of the records in ``ev`` with positive capital and value, out of ``size``."""
+def _usable_logs(ev: Evaluation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which records of ``ev`` are usable (positive capital and value), and
+    their log10 values and log10 (capital, workers) rows, in record order."""
     capital = ev.column("capital")  # an absent capital reads 0.0, so it is not usable
     usable = (capital > 0) & (ev.values > 0)
-    n = int(usable.sum())
-    excluded = size - n
-    if n < 3:
-        raise InsufficientDataError(
-            f"need at least 3 usable records to fit, got {n} ({excluded} excluded)"
-        )
-    return LogDesign(
-        responses=np.log10(ev.values[usable]),
-        regressors=np.log10(np.column_stack([capital[usable], ev.workers[usable]])),
-        excluded=excluded,
+    return (usable, np.log10(ev.values[usable]),
+            np.log10(np.column_stack([capital[usable], ev.workers[usable]])))
+
+
+def _too_few(n: int, excluded: int) -> InsufficientDataError:
+    return InsufficientDataError(
+        f"need at least 3 usable records to fit, got {n} ({excluded} excluded)"
     )
 
 
@@ -215,22 +217,118 @@ def fit_by_stratum(
 
     With ``pool_years`` the year dimension collapses (key year is None).
     Returns successful fits and, separately, the strata that could not be
-    fitted with the reason.
+    fitted with the reason, each in key order.
+
+    The records are evaluated once. The strata with the same number of
+    usable records are fitted together by :func:`_fit_stack`, whose fits
+    equal :func:`fit_log_design`'s on each stratum's :func:`log_design`.
     """
     fields = ("country", "sector_class") if pool_years else ("country", "sector_class", "year")
+    ev = evaluate(d, value_basis, ctx)
+    groups = sorted(d.columns.groups(fields, d.rows), key=lambda group: (
+        group[0][0], group[0][1], -1 if pool_years else group[0][2]))
+    if not groups:
+        return {}, {}
+    keys: list[StratumKey] = [(*key, None) if pool_years else key for key, _ in groups]
+    sizes = np.array([len(index) for _, index in groups])
+    # Each record's stratum, numbered in key order, at its row of the columns.
+    stratum = np.empty(len(d.columns), dtype=np.intp)
+    stratum[d.rows[np.concatenate([index for _, index in groups])]] = np.repeat(
+        np.arange(len(groups)), sizes)
 
-    def stratum(key: tuple) -> StratumKey:
-        return (*key, None) if pool_years else key
+    usable, responses, regressors = _usable_logs(ev)
+    used_stratum = stratum[ev.rows[usable]]
+    by_stratum = np.argsort(used_stratum, kind="stable")  # keeps record order in a stratum
+    responses, regressors = responses[by_stratum], regressors[by_stratum]
+    used = np.bincount(used_stratum, minlength=len(groups))
+    starts = np.cumsum(used) - used
+    excluded = sizes - used
 
-    sizes = {stratum(key): len(index) for key, index in d.columns.groups(fields, d.rows)}
-    parts = {stratum(key): part for key, part in evaluate(d, value_basis, ctx).split(fields).items()}
+    outcomes: list[ProductionFit | str | None] = [
+        str(_too_few(n, e)) if n < 3 else None for n, e in zip(used.tolist(), excluded.tolist())]
+    for n in sorted(set(used[used >= 3].tolist())):  # np.unique would import numpy.ma
+        members = np.flatnonzero(used == n)
+        rows = starts[members, None] + np.arange(n)
+        stack = _fit_stack(responses[rows], regressors[rows], excluded[members])
+        for g, outcome in zip(members.tolist(), stack):
+            outcomes[g] = outcome
     fits: dict[StratumKey, ProductionFit] = {}
     failures: dict[StratumKey, str] = {}
-    for key in sorted(sizes, key=lambda k: (k[0], k[1], k[2] if k[2] is not None else -1)):
-        try:
-            # A stratum none of whose records could be evaluated has no part.
-            part = parts.get(key) or evaluate(())
-            fits[key] = fit_log_design(_usable_design(part, sizes[key]))
-        except (DataError, NumericalError) as exc:
-            failures[key] = str(exc)
+    for key, outcome in zip(keys, outcomes):
+        if isinstance(outcome, str):
+            failures[key] = outcome
+        else:
+            fits[key] = outcome
     return fits, failures
+
+
+def _fit_stack(
+    responses: np.ndarray, regressors: np.ndarray, excluded: np.ndarray
+) -> list[ProductionFit | str]:
+    """The fit of each of ``g`` log designs of ``n`` records, or why it has none.
+
+    ``responses`` has shape (g, n) and ``regressors`` (g, n, 2). One SVD of
+    the stack gives each design's rank and condition number. The designs
+    that are finite, of full rank and within :data:`CONDITION_LIMIT` are
+    solved by stacked operations, which numpy runs per matrix with the same
+    LAPACK and BLAS calls as the 2-D ones in :func:`fit_log_design`, so the
+    fits are equal; the others go through :func:`fit_log_design`, which
+    gives their error or their least-squares fit.
+    """
+    g, n = responses.shape
+    x = np.concatenate((np.ones((g, n, 1)), regressors), axis=2)
+    alone = ~(np.isfinite(responses).all(axis=1) & np.isfinite(regressors).all(axis=(1, 2)))
+    finite = np.flatnonzero(~alone)
+    if len(finite):
+        singular = np.linalg.svd(x[finite], compute_uv=False)
+        tolerance = singular[:, :1] * max(n, 3) * np.finfo(float).eps
+        full_rank = np.count_nonzero(singular > tolerance, axis=1) == 3
+        with np.errstate(divide="ignore", invalid="ignore"):  # a rank-deficient design
+            condition = singular[:, 0] / singular[:, -1]
+        alone[finite] = ~(full_rank & (condition <= CONDITION_LIMIT))
+
+    outcomes: list[ProductionFit | str | None] = [None] * g
+    stacked = np.flatnonzero(~alone)
+    if len(stacked):
+        fits = _solve_stack(x[stacked], responses[stacked], excluded[stacked])
+        if fits is None:  # a normal matrix LAPACK could not factor: fit one by one
+            alone[stacked] = True
+        else:
+            for i, fit in zip(stacked.tolist(), fits):
+                outcomes[i] = fit
+    for i in np.flatnonzero(alone).tolist():
+        try:
+            outcomes[i] = fit_log_design(
+                LogDesign(responses[i], regressors[i], int(excluded[i])))
+        except (DataError, NumericalError) as exc:
+            outcomes[i] = str(exc)
+    return outcomes
+
+
+def _solve_stack(
+    x: np.ndarray, y: np.ndarray, excluded: np.ndarray
+) -> list[ProductionFit] | None:
+    """Normal-equation fits of the stacked designs ``x`` (g, n, 3) to ``y``
+    (g, n), or None if LAPACK finds a normal matrix singular."""
+    n = y.shape[1]
+    xt = np.swapaxes(x, 1, 2)
+    gram = xt @ x
+    try:
+        coef = np.linalg.solve(gram, xt @ y[..., None])
+        inverse = np.linalg.inv(gram) if n > 3 else None
+    except np.linalg.LinAlgError:
+        return None
+    residuals = y - (x @ coef)[..., 0]
+    rss = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0]
+    tss = ((y - y.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    if inverse is None:
+        ses = np.zeros((len(y), 3))  # exact interpolation at n = 3
+    else:
+        cov = (rss / (n - 3))[:, None, None] * inverse
+        ses = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
+    fits = []
+    for coef_i, ses_i, rss_i, tss_i, excluded_i in zip(
+            coef[..., 0].tolist(), ses.tolist(), rss.tolist(), tss.tolist(), excluded.tolist()):
+        r2 = 1.0 if tss_i == 0.0 else 1.0 - rss_i / tss_i
+        fits.append(ProductionFit(*coef_i, *ses_i, min(max(r2, 0.0), 1.0), n, excluded_i))
+    return fits

@@ -14,8 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 import firmprod
-from conftest import child_env
-from firmprod import cli
+from conftest import child_env, reference_fit_by_stratum, stratum_zoo
+from firmprod import ValueBasis, classify_returns, cli
 from firmprod._emit import format_cell
 from firmprod.cli import main
 from firmprod.ingest import Dataset, FirmRecord, write_firm_records
@@ -722,6 +722,32 @@ def test_a_value_that_overflows_is_not_fitted(runner, args, code, message, rows)
             assert read_rows(Path("out", rows)) == []
 
 
+@pytest.mark.parametrize("pool", [[], ["--pool-years"]], ids=["by-year", "pooled"])
+def test_production_fits_of_many_strata_equal_the_per_stratum_reference(pool, runner):
+    """About 300 strata of 1 to 15 records, degenerate ones among them: the
+    table and the skipped strata are those of fitting one stratum at a time."""
+    d = stratum_zoo(seed=31, per_size=20)
+    fits, failures = reference_fit_by_stratum(d, ValueBasis.ADDED_VALUE_COMPONENTS, None,
+                                              pool_years=bool(pool))
+    rows = []
+    for key, fit in fits.items():
+        regime = classify_returns(fit)
+        rows.append(",".join(map(format_cell, (
+            *key, fit.log_a, fit.alpha, fit.beta, fit.se_log_a, fit.se_alpha, fit.se_beta,
+            fit.r2, fit.n_used, fit.excluded, regime.sum_elasticities,
+            regime.classification.value))))
+    with runner.isolated_filesystem():
+        write_firm_records(d, "firms.csv")
+        result = run_ok(runner, ["fit-production", "--input", "firms.csv",
+                                 "--basis", "av-components", *pool, "--out", "out"])
+        lines = Path("out/production_fits.csv").read_text().splitlines()
+    assert len(fits) + len(failures) == (154 if pool else 308) and failures
+    assert lines[3:] == ["country,sector_class,year,log_a,alpha,beta,se_log_a,se_alpha,"
+                         "se_beta,r2,n_used,excluded,sum_elasticities,returns_to_scale", *rows]
+    assert result.stderr.splitlines() == [f"skipped stratum {key}: {reason}"
+                                          for key, reason in failures.items()]
+
+
 #: Two firms of one sector whose pooled value overflows: command, table, cell.
 _OVERFLOWING_SUMS = pytest.mark.parametrize("args, table, cell", [
     (["measures"], "sector_productivity.csv", "total_value"),
@@ -911,9 +937,13 @@ def _macro_case(entry: dict, message: str):
     _macro_case({"gdp": "1e6"}, "gdp must be a number, got '1e6'"),
     _macro_case({"exchange_rate": False}, "exchange_rate must be a number, got False"),
     _macro_case({"labor_share": 10**400}, "int too large to convert to float"),
+    (_MACRO_ARGV, "macro.json",
+     [{"country": "JP", "year": 2003, "labor_share": 0.3, "gdp": 100},
+      {"country": "JP", "year": 2003, "labor_share": 0.9, "gdp": 5}],
+     "macro.json: duplicate macro entry for (JP, 2003)"),
 ], ids=["synth-size-dist-kind", "macro-entry", "float-year", "bool-year", "string-year",
         "number-country", "string-labor-share", "bool-labor-share", "string-gdp",
-        "bool-exchange-rate", "overflowing-labor-share"])
+        "bool-exchange-rate", "overflowing-labor-share", "duplicate-macro-entry"])
 def test_a_bad_config_entry_names_its_file(argv, name, config, message, tmp_path):
     (tmp_path / name).write_text(json.dumps(config))
     (tmp_path / "firms.csv").write_text(

@@ -27,6 +27,7 @@ from firmprod import (
     size_sweep,
 )
 from firmprod.errors import (
+    ConfigError,
     DegenerateShareError,
     IncompleteRecordError,
     InsufficientDataError,
@@ -128,6 +129,14 @@ def test_added_value_share_form_needs_context(make_record):
 def test_degenerate_labor_share_rejected():
     with pytest.raises(DegenerateShareError):
         MacroEntry(labor_share=1.0)
+
+
+def test_a_second_macro_entry_for_one_country_year_is_refused():
+    rows = [{"country": "JP", "year": 2001, "labor_share": 0.3, "gdp": 100.0},
+            {"country": "US", "year": 2001, "labor_share": 0.5},
+            {"country": "JP", "year": 2001, "labor_share": 0.9, "gdp": 5.0}]
+    with pytest.raises(ConfigError, match=r"^duplicate macro entry for \(JP, 2001\)$"):
+        MacroContext.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,11 @@ from firmprod import (
     gen_cobb_douglas_firms,
     log_design,
 )
-from firmprod.errors import (
-    CollinearityError,
-    DataError,
-    InsufficientDataError,
-    NumericalError,
-)
-from firmprod.measures import COMPONENT_FIELDS, evaluate
-from firmprod.production import LogDesign, fit_log_design
+from conftest import DEGENERATE_STRATA, reference_design, reference_fit_by_stratum, stratum_zoo
+from firmprod import production
+from firmprod.errors import CollinearityError, InsufficientDataError
+from firmprod.measures import COMPONENT_FIELDS
+from firmprod.production import CONDITION_LIMIT, fit_log_design
 
 
 def synth(n=1000, *, log_a=0.0, alpha=0.4, beta=0.6, noise=0.0, seed=21, **kwargs):
@@ -275,42 +272,6 @@ def test_fit_by_stratum_reports_failures(make_record, make_dataset):
     assert "3" in failures[("JP", "manufacturing", 2003)]
 
 
-def _reference_design(d, basis, ctx):
-    # The design as built before strata were split from one evaluation:
-    # keep the records with positive capital, evaluate them, keep positive values.
-    capitalized = (r for r in d.records if r.capital is not None and r.capital > 0)
-    ev = evaluate(capitalized, basis, ctx)
-    positive = ev.values > 0
-    n = int(positive.sum())
-    excluded = len(d) - n
-    if n < 3:
-        raise InsufficientDataError(
-            f"need at least 3 usable records to fit, got {n} ({excluded} excluded)"
-        )
-    capital = np.array([r.capital for r in ev.records], dtype=float)[positive]
-    return LogDesign(
-        responses=np.log10(ev.values[positive]),
-        regressors=np.log10(np.column_stack([capital, ev.workers[positive]])),
-        excluded=excluded,
-    )
-
-
-def _reference_fit_by_stratum(d, basis, ctx, pool_years):
-    # Group the records, build a Dataset per stratum and fit each one.
-    groups = {}
-    for record in d.records:
-        key = (record.country, record.sector_class, None if pool_years else record.year)
-        groups.setdefault(key, []).append(record)
-    fits, failures = {}, {}
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2] if k[2] is not None else -1)):
-        subset = Dataset(records=tuple(groups[key]), currency_unit=d.currency_unit)
-        try:
-            fits[key] = fit_log_design(_reference_design(subset, basis, ctx))
-        except (DataError, NumericalError) as exc:
-            failures[key] = str(exc)
-    return fits, failures
-
-
 _positive = st.floats(min_value=0.5, max_value=1e4)
 _stratum_records = st.tuples(
     st.sampled_from(["JP", "US"]),
@@ -346,11 +307,11 @@ def test_fit_by_stratum_matches_per_stratum_dataset_reference(rows, basis, with_
     ))
     ctx = _STRATUM_CTX if with_ctx else None
     fits, failures = fit_by_stratum(d, basis, ctx, pool_years=pool_years)
-    expected_fits, expected_failures = _reference_fit_by_stratum(d, basis, ctx, pool_years)
+    expected_fits, expected_failures = reference_fit_by_stratum(d, basis, ctx, pool_years)
     assert list(fits) == list(expected_fits) and fits == expected_fits
     assert list(failures) == list(expected_failures) and failures == expected_failures
     try:
-        reference = _reference_design(d, basis, ctx)
+        reference = reference_design(d, basis, ctx)
     except InsufficientDataError as exc:
         with pytest.raises(InsufficientDataError, match=re.escape(str(exc))):
             log_design(d, basis, ctx)
@@ -359,6 +320,52 @@ def test_fit_by_stratum_matches_per_stratum_dataset_reference(rows, basis, with_
         assert design.excluded == reference.excluded
         assert np.array_equal(design.responses, reference.responses)
         assert np.array_equal(design.regressors, reference.regressors)
+
+
+def _zoo_keys(d):
+    """The stratum key of each degenerate stratum of a :func:`stratum_zoo`, by kind and size."""
+    return {r.firm_id.rsplit("-", 2)[0]: (r.country, r.sector_class, r.year) for r in d.records
+            if not r.firm_id.startswith("random")}
+
+
+@pytest.mark.parametrize("pool_years", [False, True], ids=["by-year", "pooled"])
+def test_stacked_fits_equal_the_per_stratum_reference(pool_years, monkeypatch):
+    d = stratum_zoo(seed=27)
+    alone = []
+
+    def counted(design):
+        alone.append(design)
+        return fit_log_design(design)
+
+    monkeypatch.setattr(production, "fit_log_design", counted)
+    basis = ValueBasis.ADDED_VALUE_COMPONENTS
+    fits, failures = fit_by_stratum(d, basis, pool_years=pool_years)
+    expected_fits, expected_failures = reference_fit_by_stratum(d, basis, None, pool_years)
+    assert list(fits) == list(expected_fits) and fits == expected_fits
+    assert list(failures) == list(expected_failures) and failures == expected_failures
+    if pool_years:
+        return
+    # Every size from 3 to 14 usable records has a bucket of several strata.
+    used = [fit.n_used for fit in fits.values()]
+    assert all(used.count(n) >= 2 for n in range(3, 15))
+    assert sum(reason.startswith("need at least 3") for reason in failures.values()) >= 12
+    # The degenerate strata, and only they, are fitted one by one.
+    keys = _zoo_keys(d)
+    assert len(alone) == len(keys) == 2 * len(DEGENERATE_STRATA)
+    for n in (3, 8):
+        assert failures[keys[f"collinear{n}"]] == (
+            "log10 capital is an affine function of log10 workers")
+        assert failures[keys[f"constant-workers{n}"]] == "log10 workers has zero variance"
+        assert failures[keys[f"overflow{n}"]] == (
+            "a value overflowed to infinity, so its log10 is not finite")
+        # Full rank above the condition limit: the least-squares fit.
+        ill = log_design(Dataset(records=tuple(
+            r for r in d.records if r.firm_id.startswith(f"ill-conditioned{n}-"))), basis)
+        assert np.linalg.cond(np.column_stack([np.ones(n), ill.regressors])) > CONDITION_LIMIT
+        assert keys[f"ill-conditioned{n}"] in fits
+    exact = [fit for fit in fits.values() if fit.n_used == 3]
+    assert len(exact) > 3
+    assert all(fit.se_log_a == fit.se_alpha == fit.se_beta == 0.0 for fit in exact)
 
 
 def test_fit_log_design_direct_three_points(make_record, make_dataset):
