@@ -1,11 +1,12 @@
 """Cobb-Douglas estimation by ordinary least squares in log10 space.
 
 The model is log10(value) = log_a + alpha*log10(capital) + beta*log10(workers),
-fitted per stratum with plain OLS. The solver uses normal equations and
-falls back to an orthogonal decomposition when the design matrix is badly
-conditioned. Records with non-positive (or absent) value, capital, or
-workers are excluded with a reported count: shifting or clamping them would
-bias the elasticities.
+fitted per stratum with plain OLS. One solver fits a stack of designs with
+the same number of records: normal equations in stacked numpy calls, and an
+orthogonal decomposition for a design whose matrix is badly conditioned; a
+single design is a stack of one. Records with non-positive (or absent)
+value, capital, or workers are excluded with a reported count: shifting or
+clamping them would bias the elasticities.
 """
 
 from __future__ import annotations
@@ -131,53 +132,17 @@ def _diagnose_collinearity(design: np.ndarray) -> str:
 
 
 def fit_log_design(design: LogDesign) -> ProductionFit:
-    """OLS on a prepared log design, with residual-based standard errors."""
-    if not (np.isfinite(design.responses).all() and np.isfinite(design.regressors).all()):
-        raise NumericalError("a value overflowed to infinity, so its log10 is not finite")
-    n = design.n
-    x = np.column_stack([np.ones(n), design.regressors])
-    y = design.responses
+    """OLS on a prepared log design, with residual-based standard errors.
 
-    # One SVD gives both the rank (with matrix_rank's tolerance) and the
-    # 2-norm condition number.
-    singular = np.linalg.svd(x, compute_uv=False)
-    if np.count_nonzero(singular > singular[0] * max(x.shape) * np.finfo(float).eps) < 3:
-        raise CollinearityError(_diagnose_collinearity(x))
-
-    gram = x.T @ x
-    if singular[0] / singular[-1] <= CONDITION_LIMIT:
-        coef = np.linalg.solve(gram, x.T @ y)
-    else:
-        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-
-    residuals = y - x @ coef
-    rss = float(residuals @ residuals)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if tss == 0.0 else 1.0 - rss / tss
-    r2 = min(max(r2, 0.0), 1.0)
-
-    dof = n - 3
-    if dof > 0:
-        sigma2 = rss / dof
-        try:
-            cov = sigma2 * np.linalg.inv(gram)
-            ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"could not invert the normal matrix: {exc}") from exc
-    else:
-        ses = np.zeros(3)  # exact interpolation at n = 3
-
-    return ProductionFit(
-        log_a=float(coef[0]),
-        alpha=float(coef[1]),
-        beta=float(coef[2]),
-        se_log_a=float(ses[0]),
-        se_alpha=float(ses[1]),
-        se_beta=float(ses[2]),
-        r2=r2,
-        n_used=n,
-        excluded=design.excluded,
-    )
+    Raises :class:`NumericalError` when a log is not finite or the normal
+    matrix cannot be inverted, and :class:`CollinearityError` when the design
+    has rank below 3.
+    """
+    (outcome,) = _fit_stack(
+        design.responses[None], design.regressors[None], np.array([design.excluded]))
+    if isinstance(outcome, ProductionFit):
+        return outcome
+    raise outcome
 
 
 def fit_cobb_douglas(
@@ -219,9 +184,8 @@ def fit_by_stratum(
     Returns successful fits and, separately, the strata that could not be
     fitted with the reason, each in key order.
 
-    The records are evaluated once. The strata with the same number of
-    usable records are fitted together by :func:`_fit_stack`, whose fits
-    equal :func:`fit_log_design`'s on each stratum's :func:`log_design`.
+    The records are evaluated once, and the strata with the same number of
+    usable records are fitted together by :func:`_fit_stack`.
     """
     fields = ("country", "sector_class") if pool_years else ("country", "sector_class", "year")
     ev = evaluate(d, value_basis, ctx)
@@ -244,80 +208,64 @@ def fit_by_stratum(
     starts = np.cumsum(used) - used
     excluded = sizes - used
 
-    outcomes: list[ProductionFit | str | None] = [
-        str(_too_few(n, e)) if n < 3 else None for n, e in zip(used.tolist(), excluded.tolist())]
+    outcomes: list[ProductionFit | DataError | NumericalError | None] = [
+        _too_few(n, e) if n < 3 else None for n, e in zip(used.tolist(), excluded.tolist())]
     for n in sorted(set(used[used >= 3].tolist())):  # np.unique would import numpy.ma
         members = np.flatnonzero(used == n)
         rows = starts[members, None] + np.arange(n)
         stack = _fit_stack(responses[rows], regressors[rows], excluded[members])
         for g, outcome in zip(members.tolist(), stack):
             outcomes[g] = outcome
-    fits: dict[StratumKey, ProductionFit] = {}
-    failures: dict[StratumKey, str] = {}
-    for key, outcome in zip(keys, outcomes):
-        if isinstance(outcome, str):
-            failures[key] = outcome
-        else:
-            fits[key] = outcome
+    fits = {key: fit for key, fit in zip(keys, outcomes) if isinstance(fit, ProductionFit)}
+    failures = {key: str(error) for key, error in zip(keys, outcomes)
+                if not isinstance(error, ProductionFit)}
     return fits, failures
 
 
 def _fit_stack(
     responses: np.ndarray, regressors: np.ndarray, excluded: np.ndarray
-) -> list[ProductionFit | str]:
-    """The fit of each of ``g`` log designs of ``n`` records, or why it has none.
+) -> list[ProductionFit | DataError | NumericalError]:
+    """The fit of each of ``g`` log designs of ``n`` records, or the error that
+    says why it has none.
 
     ``responses`` has shape (g, n) and ``regressors`` (g, n, 2). One SVD of
-    the stack gives each design's rank and condition number. The designs
-    that are finite, of full rank and within :data:`CONDITION_LIMIT` are
-    solved by stacked operations, which numpy runs per matrix with the same
-    LAPACK and BLAS calls as the 2-D ones in :func:`fit_log_design`, so the
-    fits are equal; the others go through :func:`fit_log_design`, which
-    gives their error or their least-squares fit.
+    the finite designs gives each one's rank (with matrix_rank's tolerance)
+    and 2-norm condition number. The full-rank designs are solved by normal
+    equations in stacked calls, except that a design above
+    :data:`CONDITION_LIMIT` takes its coefficients from its own least-squares
+    orthogonal decomposition. If LAPACK finds a normal matrix of the stack
+    singular, each design is fitted again alone.
     """
     g, n = responses.shape
     x = np.concatenate((np.ones((g, n, 1)), regressors), axis=2)
-    alone = ~(np.isfinite(responses).all(axis=1) & np.isfinite(regressors).all(axis=(1, 2)))
-    finite = np.flatnonzero(~alone)
-    if len(finite):
-        singular = np.linalg.svd(x[finite], compute_uv=False)
-        tolerance = singular[:, :1] * max(n, 3) * np.finfo(float).eps
-        full_rank = np.count_nonzero(singular > tolerance, axis=1) == 3
-        with np.errstate(divide="ignore", invalid="ignore"):  # a rank-deficient design
-            condition = singular[:, 0] / singular[:, -1]
-        alone[finite] = ~(full_rank & (condition <= CONDITION_LIMIT))
+    finite = np.isfinite(responses).all(axis=1) & np.isfinite(regressors).all(axis=(1, 2))
+    # A design that is not finite keeps this error; the others get theirs below.
+    outcomes: list[ProductionFit | DataError | NumericalError] = [
+        NumericalError("a value overflowed to infinity, so its log10 is not finite")] * g
+    members = np.flatnonzero(finite)
+    singular = np.linalg.svd(x[members], compute_uv=False)
+    full_rank = np.count_nonzero(
+        singular > singular[:, :1] * max(n, 3) * np.finfo(float).eps, axis=1) == 3
+    for i in members[~full_rank].tolist():
+        outcomes[i] = CollinearityError(_diagnose_collinearity(x[i]))
+    members, singular = members[full_rank], singular[full_rank]
+    well = singular[:, 0] / singular[:, -1] <= CONDITION_LIMIT
 
-    outcomes: list[ProductionFit | str | None] = [None] * g
-    stacked = np.flatnonzero(~alone)
-    if len(stacked):
-        fits = _solve_stack(x[stacked], responses[stacked], excluded[stacked])
-        if fits is None:  # a normal matrix LAPACK could not factor: fit one by one
-            alone[stacked] = True
-        else:
-            for i, fit in zip(stacked.tolist(), fits):
-                outcomes[i] = fit
-    for i in np.flatnonzero(alone).tolist():
-        try:
-            outcomes[i] = fit_log_design(
-                LogDesign(responses[i], regressors[i], int(excluded[i])))
-        except (DataError, NumericalError) as exc:
-            outcomes[i] = str(exc)
-    return outcomes
-
-
-def _solve_stack(
-    x: np.ndarray, y: np.ndarray, excluded: np.ndarray
-) -> list[ProductionFit] | None:
-    """Normal-equation fits of the stacked designs ``x`` (g, n, 3) to ``y``
-    (g, n), or None if LAPACK finds a normal matrix singular."""
-    n = y.shape[1]
+    x, y = x[members], responses[members]
     xt = np.swapaxes(x, 1, 2)
     gram = xt @ x
+    coef = np.empty((len(members), 3, 1))
     try:
-        coef = np.linalg.solve(gram, xt @ y[..., None])
+        coef[well] = np.linalg.solve(gram[well], (xt @ y[..., None])[well])
         inverse = np.linalg.inv(gram) if n > 3 else None
-    except np.linalg.LinAlgError:
-        return None
+    except np.linalg.LinAlgError as exc:
+        if g == 1:
+            return [NumericalError(f"could not invert the normal matrix: {exc}")]
+        return [outcome for i in range(g) for outcome in _fit_stack(
+            responses[i:i + 1], regressors[i:i + 1], excluded[i:i + 1])]
+    for j in np.flatnonzero(~well).tolist():
+        coef[j, :, 0] = np.linalg.lstsq(x[j], y[j], rcond=None)[0]
+
     residuals = y - (x @ coef)[..., 0]
     rss = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0]
     tss = ((y - y.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
@@ -326,9 +274,9 @@ def _solve_stack(
     else:
         cov = (rss / (n - 3))[:, None, None] * inverse
         ses = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
-    fits = []
-    for coef_i, ses_i, rss_i, tss_i, excluded_i in zip(
-            coef[..., 0].tolist(), ses.tolist(), rss.tolist(), tss.tolist(), excluded.tolist()):
+    for i, coef_i, ses_i, rss_i, tss_i in zip(members.tolist(), coef[..., 0].tolist(),
+                                             ses.tolist(), rss.tolist(), tss.tolist()):
         r2 = 1.0 if tss_i == 0.0 else 1.0 - rss_i / tss_i
-        fits.append(ProductionFit(*coef_i, *ses_i, min(max(r2, 0.0), 1.0), n, excluded_i))
-    return fits
+        outcomes[i] = ProductionFit(
+            *coef_i, *ses_i, min(max(r2, 0.0), 1.0), n, int(excluded[i]))
+    return outcomes

@@ -365,9 +365,10 @@ class Dataset:
         return (f"Dataset(<{len(self)} records>, currency_unit={self.currency_unit!r}, "
                 f"provenance={self.provenance!r})")
 
+    # A plain np.unique would import numpy.ma.
     def years(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.column("year")).tolist())
+        return tuple(sorted(set(self.column("year").tolist())))
 
     def countries(self) -> tuple[str, ...]:
-        codes = np.unique(self._columns.column_codes("country", self._rows))
-        return tuple(sorted(self._columns.names[codes].tolist()))
+        codes = set(self._columns.column_codes("country", self._rows).tolist())
+        return tuple(sorted(self._columns.names[list(codes)].tolist()))

@@ -8,9 +8,14 @@ import pytest
 
 import firmprod
 from firmprod import Dataset, FirmRecord, MacroContext
-from firmprod.errors import DataError, InsufficientDataError, NumericalError
+from firmprod.errors import CollinearityError, DataError, InsufficientDataError, NumericalError
 from firmprod.measures import evaluate
-from firmprod.production import LogDesign, fit_log_design
+from firmprod.production import (
+    CONDITION_LIMIT,
+    LogDesign,
+    ProductionFit,
+    _diagnose_collinearity,
+)
 
 #: The ``src`` directory this checkout's package is imported from.
 SRC = Path(firmprod.__file__).parents[1]
@@ -81,9 +86,62 @@ def reference_design(d, basis, ctx) -> LogDesign:
     )
 
 
+def reference_fit_log_design(design: LogDesign) -> ProductionFit:
+    """OLS on one log design with 2-D numpy calls, as ``fit_log_design`` was
+    before every fit went through the stacked solver: the oracle of its fits
+    and error texts."""
+    if not (np.isfinite(design.responses).all() and np.isfinite(design.regressors).all()):
+        raise NumericalError("a value overflowed to infinity, so its log10 is not finite")
+    n = design.n
+    x = np.column_stack([np.ones(n), design.regressors])
+    y = design.responses
+
+    # One SVD gives both the rank (with matrix_rank's tolerance) and the
+    # 2-norm condition number.
+    singular = np.linalg.svd(x, compute_uv=False)
+    if np.count_nonzero(singular > singular[0] * max(x.shape) * np.finfo(float).eps) < 3:
+        raise CollinearityError(_diagnose_collinearity(x))
+
+    gram = x.T @ x
+    if singular[0] / singular[-1] <= CONDITION_LIMIT:
+        coef = np.linalg.solve(gram, x.T @ y)
+    else:
+        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
+
+    residuals = y - x @ coef
+    rss = float(residuals @ residuals)
+    tss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if tss == 0.0 else 1.0 - rss / tss
+    r2 = min(max(r2, 0.0), 1.0)
+
+    dof = n - 3
+    if dof > 0:
+        sigma2 = rss / dof
+        try:
+            cov = sigma2 * np.linalg.inv(gram)
+            ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"could not invert the normal matrix: {exc}") from exc
+    else:
+        ses = np.zeros(3)  # exact interpolation at n = 3
+
+    return ProductionFit(
+        log_a=float(coef[0]),
+        alpha=float(coef[1]),
+        beta=float(coef[2]),
+        se_log_a=float(ses[0]),
+        se_alpha=float(ses[1]),
+        se_beta=float(ses[2]),
+        r2=r2,
+        n_used=n,
+        excluded=design.excluded,
+    )
+
+
 def reference_fit_by_stratum(d, basis, ctx, pool_years):
     """``fit_by_stratum`` one stratum at a time: group the records, build a
-    Dataset per stratum and fit its :func:`reference_design`."""
+    Dataset per stratum and fit its :func:`reference_design` with
+    :func:`reference_fit_log_design`."""
     groups = {}
     for record in d.records:
         key = (record.country, record.sector_class, None if pool_years else record.year)
@@ -92,7 +150,7 @@ def reference_fit_by_stratum(d, basis, ctx, pool_years):
     for key in sorted(groups, key=lambda k: (k[0], k[1], k[2] if k[2] is not None else -1)):
         subset = Dataset(records=tuple(groups[key]), currency_unit=d.currency_unit)
         try:
-            fits[key] = fit_log_design(reference_design(subset, basis, ctx))
+            fits[key] = reference_fit_log_design(reference_design(subset, basis, ctx))
         except (DataError, NumericalError) as exc:
             failures[key] = str(exc)
     return fits, failures

@@ -106,7 +106,11 @@ def _run(tmp_path: Path, body: str) -> list[str]:
 
 
 def _run_cli(tmp_path: Path, *argv: str) -> list[str]:
-    """Run ``firmprod.cli`` as ``__main__`` in a child, as ``python -m`` does."""
+    """Run ``firmprod.cli`` as ``__main__`` in a child, as ``python -m`` does.
+
+    The child also checks that the command never imported ``numpy.ma``,
+    which a plain ``np.unique`` does (about 15 ms).
+    """
     return _run(tmp_path, f"""
 import runpy
 sys.argv = ["firmprod", *{list(argv)!r}]
@@ -114,6 +118,7 @@ try:
     runpy.run_module("firmprod.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code in (0, None), exc.code
+assert "numpy.ma" not in sys.modules, "the command imported numpy.ma"
 report()
 """)
 

@@ -23,11 +23,16 @@ from firmprod import (
     gen_cobb_douglas_firms,
     log_design,
 )
-from conftest import DEGENERATE_STRATA, reference_design, reference_fit_by_stratum, stratum_zoo
-from firmprod import production
-from firmprod.errors import CollinearityError, InsufficientDataError
+from conftest import (
+    DEGENERATE_STRATA,
+    reference_design,
+    reference_fit_by_stratum,
+    reference_fit_log_design,
+    stratum_zoo,
+)
+from firmprod.errors import CollinearityError, DataError, InsufficientDataError, NumericalError
 from firmprod.measures import COMPONENT_FIELDS
-from firmprod.production import CONDITION_LIMIT, fit_log_design
+from firmprod.production import CONDITION_LIMIT, LogDesign, fit_log_design
 
 
 def synth(n=1000, *, log_a=0.0, alpha=0.4, beta=0.6, noise=0.0, seed=21, **kwargs):
@@ -329,15 +334,8 @@ def _zoo_keys(d):
 
 
 @pytest.mark.parametrize("pool_years", [False, True], ids=["by-year", "pooled"])
-def test_stacked_fits_equal_the_per_stratum_reference(pool_years, monkeypatch):
+def test_stacked_fits_equal_the_per_stratum_reference(pool_years):
     d = stratum_zoo(seed=27)
-    alone = []
-
-    def counted(design):
-        alone.append(design)
-        return fit_log_design(design)
-
-    monkeypatch.setattr(production, "fit_log_design", counted)
     basis = ValueBasis.ADDED_VALUE_COMPONENTS
     fits, failures = fit_by_stratum(d, basis, pool_years=pool_years)
     expected_fits, expected_failures = reference_fit_by_stratum(d, basis, None, pool_years)
@@ -349,9 +347,8 @@ def test_stacked_fits_equal_the_per_stratum_reference(pool_years, monkeypatch):
     used = [fit.n_used for fit in fits.values()]
     assert all(used.count(n) >= 2 for n in range(3, 15))
     assert sum(reason.startswith("need at least 3") for reason in failures.values()) >= 12
-    # The degenerate strata, and only they, are fitted one by one.
     keys = _zoo_keys(d)
-    assert len(alone) == len(keys) == 2 * len(DEGENERATE_STRATA)
+    assert len(keys) == 2 * len(DEGENERATE_STRATA)
     for n in (3, 8):
         assert failures[keys[f"collinear{n}"]] == (
             "log10 capital is an affine function of log10 workers")
@@ -366,6 +363,73 @@ def test_stacked_fits_equal_the_per_stratum_reference(pool_years, monkeypatch):
     exact = [fit for fit in fits.values() if fit.n_used == 3]
     assert len(exact) > 3
     assert all(fit.se_log_a == fit.se_alpha == fit.se_beta == 0.0 for fit in exact)
+
+
+def _outcome(fit, design):
+    """A design's fit, or the class and text of the error it raises."""
+    try:
+        return fit(design)
+    except (DataError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_designs(rng, count, n):
+    """``count`` random log designs of ``n`` records; every other one has
+    log10 capital equal to log10 workers up to a 1e-9 or 1e-6 scatter."""
+    designs = []
+    for i in range(count):
+        log_l = rng.uniform(0.0, 3.0, n)
+        log_k = rng.uniform(0.0, 4.0, n)
+        if i % 2:
+            log_k = log_l + (1e-9, 1e-6)[i // 2 % 2] * rng.standard_normal(n)
+        designs.append(LogDesign(responses=rng.normal(2.0, 1.0, n),
+                                 regressors=np.column_stack([log_k, log_l]), excluded=i % 3))
+    return designs
+
+
+def test_fit_log_design_equals_the_reference():
+    d = stratum_zoo(seed=28)
+    basis = ValueBasis.ADDED_VALUE_COMPONENTS
+    strata = {}
+    for record in d.records:
+        strata.setdefault((record.country, record.sector_class, record.year), []).append(record)
+    designs = []
+    for records in strata.values():
+        try:
+            designs.append(reference_design(Dataset(records=tuple(records)), basis, None))
+        except InsufficientDataError:
+            continue
+    rng = np.random.default_rng(28)
+    designs += _random_designs(rng, 200, 3) + _random_designs(rng, 200, 12)
+    outcomes = [_outcome(fit_log_design, design) for design in designs]
+    assert outcomes == [_outcome(reference_fit_log_design, design) for design in designs]
+    # Every kind of outcome is among them: fits, the n = 3 interpolations,
+    # collinear and overflowed designs, and normal matrices LAPACK cannot invert.
+    errors = {error for error in outcomes if isinstance(error, tuple)}
+    assert any(isinstance(fit, ProductionFit) and fit.n_used == 3 for fit in outcomes)
+    assert {cls for cls, _ in errors} == {CollinearityError, NumericalError}
+    assert any(text.startswith("could not invert the normal matrix") for _, text in errors)
+
+
+def test_a_stack_lapack_cannot_factor_is_fitted_one_design_at_a_time(monkeypatch):
+    d = stratum_zoo(seed=29)
+    basis = ValueBasis.ADDED_VALUE_COMPONENTS
+    expected = reference_fit_by_stratum(d, basis, None, False)
+    design = _random_designs(np.random.default_rng(29), 1, 9)[0]
+    inv, stacks = np.linalg.inv, []
+
+    def inv_of_one_matrix(a):
+        if a.ndim > 2 and len(a) > 1:
+            stacks.append(len(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv_of_one_matrix)
+    fits, failures = fit_by_stratum(d, basis)
+    assert stacks
+    assert list(fits) == list(expected[0]) and fits == expected[0]
+    assert list(failures) == list(expected[1]) and failures == expected[1]
+    assert fit_log_design(design) == reference_fit_log_design(design)
 
 
 def test_fit_log_design_direct_three_points(make_record, make_dataset):
