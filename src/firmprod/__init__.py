@@ -22,7 +22,7 @@ _EXPORTS = {
     "equilibrium": (
         "AdaptiveStep", "DispersionStats", "FixedStep", "MarketContext", "ReallocationTrace",
         "TheoryFirm", "TraceStep", "equilibrium_dispersion", "marginal_labor_productivity",
-        "optimal_labor", "output", "profit", "simulate_reallocation",
+        "optimal_labor", "output", "profit", "read_scenario", "simulate_reallocation",
     ),
     "ingest": (
         "CsvSchema", "ParseReport", "filter_dataset", "parse_firm_records", "write_firm_records",

@@ -34,7 +34,6 @@ if __name__ == "__main__":
     gc.disable()  # until run(), which freezes what the imports built
 
 import functools
-import math
 from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import dataclass, fields, replace
@@ -53,7 +52,6 @@ from .ingest import (
     ParseReport,
     filter_dataset,
     parse_firm_records,
-    read_json_config,
     write_firm_records,
 )
 
@@ -468,48 +466,6 @@ def size_sweep_cmd(front: _Front, thresholds: str, mode: str) -> None:
     click.echo(f"wrote {len(table)} sweep points to {target}")
 
 
-def _scenario_from_json(path: str) -> tuple[list[equilibrium.TheoryFirm],
-                                            equilibrium.StepRule, float, int, float]:
-    raw = read_json_config(path, "scenario")
-    if "firms" not in raw:
-        raise ConfigError(f"{path}: scenario must have a 'firms' list")
-    try:
-        firms = []
-        for entry in raw["firms"]:
-            if isinstance(entry, dict):  # anything else is refused by TheoryFirm(**entry)
-                for name in ("scale", "alpha", "beta", "capital", "labor"):
-                    value = entry.get(name, 0.0)  # a missing value is TheoryFirm's to refuse
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise ConfigError(f"{path}: firm {entry.get('id')!r}: {name} must be "
-                                          f"a JSON number, got {value!r}")
-            firms.append(equilibrium.TheoryFirm(**entry))
-        rule_raw = raw.get("step_rule", {"kind": "adaptive"})
-        if not isinstance(rule_raw, dict):
-            raise ConfigError(f"{path}: step_rule must be a JSON object, got {rule_raw!r}")
-        kind = rule_raw.get("kind", "adaptive")
-        if kind not in ("adaptive", "fixed"):
-            raise ConfigError(
-                f"{path}: step_rule kind must be 'fixed' or 'adaptive', got {kind!r}")
-        step = equilibrium.FixedStep if kind == "fixed" else equilibrium.AdaptiveStep
-        rule = step(**{k: v for k, v in rule_raw.items() if k != "kind"})
-        tol, floor = raw.get("tol", 1e-8), raw.get("labor_floor", 1e-9)
-        for name, value in (("tol", tol), ("labor_floor", floor)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{path}: {name} must be a JSON number, got {value!r}")
-        tol = float(tol)
-        if not 0 < tol < math.inf:
-            raise ConfigError(f"{path}: tol must be finite and > 0, got {tol}")
-        max_iter = raw.get("max_iter", 100_000)
-        if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
-            raise ConfigError(f"{path}: max_iter must be an integer >= 0, got {max_iter!r}")
-        floor = float(floor)
-        if not 0 <= floor < math.inf:
-            raise ConfigError(f"{path}: labor_floor must be finite and >= 0, got {floor}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: bad scenario: {exc}") from exc
-    return firms, rule, tol, max_iter, floor
-
-
 @main.command()
 @click.option("--scenario", "scenario_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="JSON scenario: firms, step_rule, tol, max_iter.")
@@ -517,9 +473,8 @@ def _scenario_from_json(path: str) -> tuple[list[equilibrium.TheoryFirm],
 @_format_option
 def simulate(scenario_path: str, out_dir: str, fmt: str) -> None:
     """Run the labor-reallocation simulator and emit its trace."""
-    firms, rule, tol, max_iter, floor = _scenario_from_json(scenario_path)
-    trace = equilibrium.simulate_reallocation(firms, step_rule=rule, tol=tol,
-                                              max_iter=max_iter, labor_floor=floor)
+    firms, options = equilibrium.read_scenario(scenario_path)
+    trace = equilibrium.simulate_reallocation(firms, **options)
     cfg = _config_hash()
     out = Path(out_dir)
     trace_columns = ("iteration", "mover_from", "mover_to", "delta_labor", "max_spread",

@@ -7,7 +7,8 @@ equal across firms. The simulator moves labor step by step from the firm
 with the lowest marginal productivity to the one with the highest until the
 relative spread of marginal productivities falls below a tolerance; the
 dispersion statistic measures how far a population (observed or simulated)
-is from that fixed point.
+is from that fixed point. :func:`read_scenario` reads the simulator's firms
+and run parameters from a JSON scenario file.
 
 Each simulator iteration costs two O(n) vectorised reductions, argmin and
 argmax over the marginal products, and two O(n) copies: the labors and
@@ -30,40 +31,30 @@ from the CLI); a total output beyond it is traced as inf.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InsufficientDataError,
     NumericalError,
     UnboundedDemandError,
     ValidationError,
+    is_finite,
+    is_real,
 )
-
-#: Labor never drops below this floor during reallocation.
-DEFAULT_LABOR_FLOOR = 1e-9
+from .ingest import read_json_config
 
 _MAX_STEP_SHRINKS = 200
 
 #: Cells in each of the simulator's two trace blocks: a block holds the
 #: states of max(1, _CELLS // n) steps of n firms between two sums.
 _CELLS = 16_384
-
-
-def _finite(value: float) -> bool:
-    """Whether ``value`` is finite; an int beyond the float range is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _positive_finite(value: float) -> bool:
-    """Whether ``value`` is > 0 and finite; an int beyond the float range is not."""
-    return value > 0 and _finite(value)
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,7 @@ class TheoryFirm:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str):  # the simulator sorts firms by id
             raise ValidationError(f"firm {self.id!r}: id must be a string")
-        if not all(map(_positive_finite, (self.scale, self.capital, self.labor))):
+        if not all(v > 0 and is_finite(v) for v in (self.scale, self.capital, self.labor)):
             raise ValidationError(
                 f"firm {self.id!r}: scale, capital and labor must be finite and > 0"
             )
@@ -104,7 +95,7 @@ class MarketContext:
     wage: float = 1.0
 
     def __post_init__(self) -> None:
-        if not _positive_finite(self.price):
+        if not (self.price > 0 and is_finite(self.price)):
             raise ValidationError(f"price must be finite and > 0, got {self.price}")
         if self.interest_rate < 0 or self.wage < 0:
             raise ValidationError("interest_rate and wage must be >= 0")
@@ -125,7 +116,7 @@ class FixedStep:
     delta: float
 
     def __post_init__(self) -> None:
-        if not _positive_finite(self.delta):
+        if not (self.delta > 0 and is_finite(self.delta)):
             raise ValidationError(f"delta must be finite and > 0, got {self.delta}")
 
 
@@ -146,6 +137,58 @@ class AdaptiveStep:
 
 
 StepRule = FixedStep | AdaptiveStep
+
+
+def _check_run(options: Mapping[str, object], error: Callable = ValueError) -> None:
+    """Raise ``error`` for the first run parameter in ``options`` that breaks its rule."""
+    for name, holds, rule in (
+        ("tol", lambda v: v > 0 and is_finite(v), "finite and > 0"),
+        ("max_iter", lambda v: is_real(v) and isinstance(v, Integral) and v >= 0,
+         "an integer >= 0"),
+        ("labor_floor", lambda v: v >= 0 and is_finite(v), "finite and >= 0"),
+    ):
+        if name in options and not holds(value := options[name]):
+            raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def read_scenario(path: str | Path) -> tuple[list[TheoryFirm], dict[str, object]]:
+    """The firms of a JSON scenario file and the :func:`simulate_reallocation`
+    keyword arguments it sets (a key it leaves out takes the function's
+    default); a malformed scenario is a :class:`ConfigError` naming the file."""
+    raw = read_json_config(path, "scenario")
+    if "firms" not in raw:
+        raise ConfigError(f"{path}: scenario must have a 'firms' list")
+    try:
+        firms, options = [], {}
+        for entry in raw["firms"]:
+            if isinstance(entry, dict):  # anything else is refused by TheoryFirm(**entry)
+                for name in ("scale", "alpha", "beta", "capital", "labor"):
+                    value = entry.get(name, 0.0)  # a missing value is TheoryFirm's to refuse
+                    if not is_real(value):
+                        raise ConfigError(f"{path}: firm {entry.get('id')!r}: {name} must be "
+                                          f"a JSON number, got {value!r}")
+            firms.append(TheoryFirm(**entry))
+        if "step_rule" in raw:
+            rule = raw["step_rule"]
+            if not isinstance(rule, dict):
+                raise ConfigError(f"{path}: step_rule must be a JSON object, got {rule!r}")
+            kind = rule.get("kind", "adaptive")
+            if kind not in ("adaptive", "fixed"):
+                raise ConfigError(f"{path}: step_rule kind must be 'fixed' or 'adaptive', "
+                                  f"got {kind!r}")
+            step = FixedStep if kind == "fixed" else AdaptiveStep
+            options["step_rule"] = step(**{k: v for k, v in rule.items() if k != "kind"})
+        for name in ("tol", "labor_floor"):
+            if name in raw and not is_real(raw[name]):
+                raise ConfigError(f"{path}: {name} must be a JSON number, got {raw[name]!r}")
+        # Converted and checked in turn, so the first bad parameter is the one named.
+        for name in ("tol", "max_iter", "labor_floor"):
+            if name in raw:
+                options[name] = raw[name] if name == "max_iter" else float(raw[name])
+                _check_run(options, lambda message: ConfigError(f"{path}: {message}"))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: bad scenario: {exc}") from exc
+    return firms, options
 
 
 @dataclass(frozen=True)
@@ -238,7 +281,7 @@ def equilibrium_dispersion(
         raise InsufficientDataError("dispersion needs at least 2 firms")
     products = []
     for beta, value, labor in firms:
-        if not all(map(_finite, (beta, value, labor))):
+        if not all(map(is_finite, (beta, value, labor))):
             raise ValidationError(
                 f"beta, value and labor must be finite, got {(beta, value, labor)!r}")
         if labor <= 0 or value <= 0:
@@ -267,20 +310,21 @@ def equilibrium_dispersion(
 def simulate_reallocation(
     firms: Sequence[TheoryFirm],
     *,
-    step_rule: StepRule | None = None,
+    step_rule: StepRule = AdaptiveStep(),
     tol: float = 1e-8,
     max_iter: int = 100_000,
-    labor_floor: float = DEFAULT_LABOR_FLOOR,
+    labor_floor: float = 1e-9,
 ) -> ReallocationTrace:
     """Reallocate labor pairwise until marginal productivities equalize.
 
     Each iteration moves labor from the firm with the lowest marginal labor
     productivity to the firm with the highest (ties broken by firm id).
     Total labor is conserved; moves are clipped so labor never falls below
-    ``labor_floor`` (which must be >= 0). The run converges when the max relative spread of
-    marginal products is at most ``tol``; hitting ``max_iter`` first is
-    reported via ``converged=False``, not an error. The dynamics depend
-    only on marginal products, so no price or wage enters.
+    ``labor_floor`` (finite, >= 0). The run converges when the max relative
+    spread of marginal products is at most ``tol`` (finite, > 0); hitting
+    ``max_iter`` (an integer >= 0) first is reported via ``converged=False``,
+    not an error. A value outside those rules raises ``ValueError``. The
+    dynamics depend only on marginal products, so no price or wage enters.
 
     A total labor, or a highest marginal product, beyond the float range
     raises :class:`NumericalError`, as a lowest marginal product that is not
@@ -288,16 +332,12 @@ def simulate_reallocation(
     """
     if len(firms) < 2:
         raise InsufficientDataError("reallocation needs at least 2 firms")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if not labor_floor >= 0:
-        raise ValueError(f"labor_floor must be >= 0, got {labor_floor}")
+    _check_run({"tol": tol, "max_iter": max_iter, "labor_floor": labor_floor})
     for f in firms:
         if f.beta >= 1:
             raise ValidationError(
                 f"firm {f.id!r}: reallocation requires beta < 1"
             )
-    step_rule = step_rule or AdaptiveStep()
     fixed_delta = step_rule.delta if isinstance(step_rule, FixedStep) else None
     shrink = step_rule.shrink if isinstance(step_rule, AdaptiveStep) else None
 
@@ -344,13 +384,13 @@ def simulate_reallocation(
         # floats are much cheaper there than numpy scalars. Python's ** is the
         # C library's pow, while numpy's vectorised ** may differ from it in
         # the last bit where numpy uses AVX-512, so coef need not equal
-        # mp_coef there, and traces can differ between hosts.
+        # mp_coef there, and traces can differ between hosts. The exponents,
+        # one subtraction each, are equal, so the probes use mp_exps.
         labor = labors.tolist()
-        coef = [b * s * k**a for b, s, k, a in
-                zip(betas.tolist(), scales.tolist(), capitals.tolist(), alphas.tolist())]
-        expo = [b - 1.0 for b in betas.tolist()]
         mp_coefs, mp_exps = mp_coef.tolist(), mp_exp.tolist()
         out_coefs, beta = out_coef.tolist(), betas.tolist()
+        coef = [b * s * k**a for b, s, k, a in
+                zip(beta, scales.tolist(), capitals.tolist(), alphas.tolist())]
         # The two moved firms' new marginal products and outputs, in one
         # length-4 power: lanes (donor mp, recipient mp, donor output,
         # recipient output). numpy's ** rounds a lane of a contiguous array
@@ -413,11 +453,11 @@ def simulate_reallocation(
             else:
                 # Halve from the donor's whole available labor until the move
                 # does not reverse the pair's marginal-product order. A
-                # probe is coef * labor**expo, inf where Python's ** overflows
+                # probe is coef * labor**(beta - 1), inf where Python's ** overflows
                 # (numpy gives inf there).
                 delta = available
-                donor_coef, donor_expo = coef[donor], expo[donor]
-                recipient_coef, recipient_expo = coef[recipient], expo[recipient]
+                donor_coef, donor_expo = coef[donor], mp_exps[donor]
+                recipient_coef, recipient_expo = coef[recipient], mp_exps[recipient]
                 for _ in range(_MAX_STEP_SHRINKS):
                     donor_left = donor_labor - delta
                     if donor_left > 0:

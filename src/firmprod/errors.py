@@ -2,10 +2,26 @@
 
 Three top-level categories mirror the CLI exit codes: configuration
 problems (exit 2), data-contract violations (exit 3), and numerical
-degeneracies (exit 4).
+degeneracies (exit 4). Two predicates say what every layer counts as a number.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Real
+
+
+def is_real(value: object) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def is_finite(value: float) -> bool:
+    """Whether the real ``value`` is finite; an int beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class FirmprodError(Exception):

@@ -111,15 +111,16 @@ class CsvSchema:
             raise SchemaError(f"{path}: bad schema: {exc}") from exc
 
 
-def read_json_config(path: str | Path, what: str, *, allow_list: bool = False) -> dict | list:
-    """Load a JSON config file holding an object (or, with ``allow_list``, a list)."""
+def read_json_config(path: str | Path, what: str, *, as_list: bool = False) -> dict | list:
+    """Load a JSON config file holding an object (with ``as_list``, a list of entries)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ConfigError(f"{path}: {what} is not readable JSON: {exc}") from exc
-    if not isinstance(raw, (dict, list) if allow_list else dict):
-        raise ConfigError(f"{path}: {what} must be a JSON object" + " or list" * allow_list)
+    if not isinstance(raw, list if as_list else dict):
+        raise ConfigError(f"{path}: {what} must be a JSON "
+                          + ("list of entries" if as_list else "object"))
     return raw
 
 

@@ -19,8 +19,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import isfinite
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +32,8 @@ from .errors import (
     MacroContextError,
     ValidationError,
     ZeroWorkersError,
+    is_finite,
+    is_real,
 )
 from .ingest import filter_dataset, read_json_config
 from .records import Columns, Dataset, FirmRecord
@@ -67,7 +68,7 @@ class MacroEntry:
     def __post_init__(self) -> None:
         for name in ("labor_share", "gdp", "exchange_rate"):
             value = getattr(self, name)
-            if value is not None and not isfinite(value):
+            if value is not None and not is_finite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.labor_share < 0:
             raise ValidationError(f"labor_share must be >= 0, got {self.labor_share}")
@@ -83,7 +84,7 @@ class MacroEntry:
 
 def _number(row: Mapping[str, object], name: str) -> float:
     value = row[name]
-    if isinstance(value, bool) or not isinstance(value, Real):
+    if not is_real(value):
         raise TypeError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -108,12 +109,9 @@ class MacroContext:
                     raise TypeError(f"country must be a string, got {country!r}")
                 if isinstance(year, bool) or not isinstance(year, Integral):
                     raise TypeError(f"year must be an integer, got {year!r}")
-                entry = MacroEntry(
-                    labor_share=_number(row, "labor_share"),
-                    gdp=None if row.get("gdp") is None else _number(row, "gdp"),
-                    exchange_rate=(None if row.get("exchange_rate") is None
-                                   else _number(row, "exchange_rate")),
-                )
+                entry = MacroEntry(_number(row, "labor_share"), *(
+                    None if row.get(name) is None else _number(row, name)
+                    for name in ("gdp", "exchange_rate")))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad macro entry {row!r}: {exc}") from exc
             key = (country, int(year))
@@ -124,11 +122,7 @@ class MacroContext:
 
     @classmethod
     def from_json(cls, path: str | Path) -> MacroContext:
-        raw = read_json_config(path, "macro file", allow_list=True)
-        if isinstance(raw, dict) and "entries" in raw:
-            raw = raw["entries"]
-        if not isinstance(raw, list):
-            raise ConfigError(f"{path}: macro file must be a JSON list of entries")
+        raw = read_json_config(path, "macro file", as_list=True)
         try:
             return cls.from_rows(raw)
         except ConfigError as exc:  # a bad entry

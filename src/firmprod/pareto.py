@@ -177,13 +177,12 @@ def rank_size(values: Iterable[float]) -> RankSizeSeries:
     return RankSizeSeries(values=np.sort(positive)[::-1], excluded=excluded)
 
 
-def fit_pareto(series: RankSizeSeries, tail: TailSpec | None = None) -> ParetoFit:
+def fit_pareto(series: RankSizeSeries, tail: TailSpec = TailSpec.whole()) -> ParetoFit:
     """Least-squares tail-exponent estimate on the selected rank range.
 
     Regresses log10(rank) on log10(value); the exponent is minus the slope.
     Needs at least 3 selected points with finite, non-identical values.
     """
-    tail = tail or TailSpec.whole()
     min_rank, max_rank = tail.select(series.n)
     selected = series.values[min_rank - 1 : max_rank]
     count = len(selected)
@@ -227,13 +226,14 @@ def fit_pareto(series: RankSizeSeries, tail: TailSpec | None = None) -> ParetoFi
     )
 
 
-def hill_estimate(series: RankSizeSeries, tail: TailSpec | None = None) -> float:
+def hill_estimate(series: RankSizeSeries, tail: TailSpec = TailSpec.whole()) -> float:
     """Maximum-likelihood (Hill) tail exponent over the selected top ranks.
 
     Cross-check only; the least-squares estimate of :func:`fit_pareto` is
-    the reported number.
+    the reported number. A rank window must start at rank 1 (``ValueError``).
     """
-    tail = tail or TailSpec.whole()
+    if tail.kind == "ranks" and tail.min_rank > 1:
+        raise ValueError(f"a Hill estimate starts at rank 1, not {tail.min_rank}")
     _, max_rank = tail.select(series.n)
     k = max_rank if max_rank < series.n else series.n - 1
     if k < 2:

@@ -17,13 +17,11 @@ depending on the CPU features it dispatches to (AVX-512 or not).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, is_finite, is_real
 from .ingest import read_json_config
 from .records import _INT64_MAX, OPTIONAL_FIELDS, SECTOR_CLASSES, Columns, Dataset
 
@@ -37,11 +35,7 @@ def _check_reals(obj: object, *names: str) -> None:
     """Raise unless each named field holds a finite real number; a bool does not count."""
     for name in names:
         value = getattr(obj, name)
-        try:
-            finite = isinstance(value, Real) and not isinstance(value, bool) and isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
+        if not (is_real(value) and is_finite(value)):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -182,8 +176,7 @@ def pareto_inverse_cdf(u: float | np.ndarray, mu: float, xmin: float) -> float |
 
 def gen_pareto_sample(mu: float, xmin: float, n: int, seed: int = 0) -> np.ndarray:
     """n inverse-transform draws from a power-law tail; all values >= xmin."""
-    if mu <= 0 or xmin <= 0:
-        raise ValidationError("gen_pareto_sample needs mu > 0 and xmin > 0")
+    ParetoSize(mu, xmin)  # refuses a mu or xmin that is not finite and > 0
     if n < 1:
         raise ValidationError("n must be >= 1")
     rng = np.random.default_rng(seed)

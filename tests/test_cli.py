@@ -456,6 +456,7 @@ def test_an_overflowing_total_output_is_written_as_inf(fmt, tmp_path):
     ("ingest", "--schema", '{"year_range": 5}'),
     ("ingest", "--schema", '{"columns": 5}'),
     ("measures", "--macro", '"entries"'),
+    ("measures", "--macro", '{"entries": []}'),
     ("synth", "--spec", '{"n": 1.5}'),
     ("synth", "--spec", '{"n": true}'),
     ("synth", "--spec", '{"n": 5, "seed": 1.5}'),
@@ -477,7 +478,8 @@ def test_an_overflowing_total_output_is_written_as_inf(fmt, tmp_path):
     ("synth", "--spec", '{"n": 5, "currency_unit": 5}'),
 ], ids=["schema-truncated", "macro-truncated", "spec-truncated", "scalar-size-dist",
         "empty-delimiter", "quote-delimiter", "cr-delimiter", "lf-delimiter", "hash-delimiter",
-        "scalar-year-range", "scalar-columns", "macro-string", "float-n", "bool-n", "float-seed", "float-n-sectors", "float-year",
+        "scalar-year-range", "scalar-columns", "macro-string", "macro-entries-object",
+        "float-n", "bool-n", "float-seed", "float-n-sectors", "float-year",
         "string-log-a", "null-alpha", "string-beta", "string-mean-log", "string-exponent",
         "nan-alpha", "bool-noise-sigma", "overflowing-value", "infinite-workers",
         "overflowing-workers", "overflowing-capital", "integer-country",
@@ -495,6 +497,8 @@ def test_malformed_config_file_is_a_config_error(command, option, text, tmp_path
         assert "delimiter can not be '#'" in result.stderr
     if '"country"' in text or '"currency_unit"' in text:
         assert "must be a string, got 5" in result.stderr
+    if text == '{"entries": []}':  # a macro file is a list, not an object holding one
+        assert result.stderr.endswith("macro file must be a JSON list of entries\n")
     assert "Traceback" not in result.stderr
 
 

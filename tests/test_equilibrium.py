@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 import warnings
@@ -24,6 +25,7 @@ from firmprod import (
 )
 from firmprod import equilibrium
 from firmprod.errors import (
+    ConfigError,
     InsufficientDataError,
     NumericalError,
     UnboundedDemandError,
@@ -621,6 +623,43 @@ def test_simulator_validation():
         simulate_reallocation([firm(id="a"), firm(id="b")], labor_floor=-1.0)
     with pytest.raises(ValidationError):
         simulate_reallocation([firm(id="a", beta=1.0), firm(id="b")])
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("tol", math.nan, "tol must be finite and > 0, got nan"),
+    ("tol", math.inf, "tol must be finite and > 0, got inf"),
+    ("tol", 0.0, "tol must be finite and > 0, got 0.0"),
+    ("labor_floor", math.inf, "labor_floor must be finite and >= 0, got inf"),
+    ("labor_floor", math.nan, "labor_floor must be finite and >= 0, got nan"),
+    ("labor_floor", -1.0, "labor_floor must be finite and >= 0, got -1.0"),
+    ("max_iter", 2.5, "max_iter must be an integer >= 0, got 2.5"),
+    ("max_iter", True, "max_iter must be an integer >= 0, got True"),
+    ("max_iter", -3, "max_iter must be an integer >= 0, got -3"),
+    ("max_iter", math.inf, "max_iter must be an integer >= 0, got inf"),
+], ids=["nan-tol", "infinite-tol", "zero-tol", "infinite-floor", "nan-floor", "negative-floor",
+        "fractional-max-iter", "bool-max-iter", "negative-max-iter", "infinite-max-iter"])
+def test_a_run_parameter_the_cli_refuses_is_a_value_error(name, value, message):
+    # The texts are those of `firmprod simulate` for the same scenario values.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_reallocation([firm(id="a"), firm(id="b", scale=2.0)], **{name: value})
+
+
+def test_a_scenario_file_sets_only_the_arguments_it_holds(tmp_path):
+    firms = [{"id": "a", "scale": 1.0, "alpha": 0.4, "beta": 0.6, "capital": 4.0, "labor": 10.0},
+             {"id": "b", "scale": 2.0, "alpha": 0.4, "beta": 0.6, "capital": 1.0, "labor": 10}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"firms": firms}))
+    read, options = equilibrium.read_scenario(path)
+    assert read == [TheoryFirm(**firm) for firm in firms] and options == {}
+    path.write_text(json.dumps({"firms": firms, "step_rule": {"kind": "fixed", "delta": 2},
+                                "tol": 1, "max_iter": 7, "labor_floor": 0}))
+    _, options = equilibrium.read_scenario(path)
+    assert options == {"step_rule": FixedStep(2), "tol": 1.0, "max_iter": 7, "labor_floor": 0.0}
+    assert [type(options[name]) for name in ("tol", "labor_floor")] == [float, float]
+    path.write_text(json.dumps({"firms": firms, "tol": 0}))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: tol must be finite and > 0, "
+                                          "got 0.0$"):
+        equilibrium.read_scenario(path)
 
 
 def test_a_zero_marginal_product_is_a_numerical_error():

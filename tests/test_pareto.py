@@ -173,6 +173,17 @@ def test_hill_cross_check_on_sampled_tail():
     assert hill == pytest.approx(2.0, rel=0.05)
 
 
+def test_hill_estimate_refuses_a_rank_window_below_the_top():
+    series = rank_size(gen_pareto_sample(1.5, 1.0, 1000, seed=1))
+    top_100 = 1.5331469533573758
+    assert hill_estimate(series, TailSpec.parse("ranks:1..100")) == top_100
+    assert hill_estimate(series, TailSpec.parse("frac:0.1")) == top_100
+    assert hill_estimate(series) == 1.4774829893035264
+    for window in ("ranks:50..100", "ranks:99..100", "ranks:2000..3000"):
+        with pytest.raises(ValueError, match="a Hill estimate starts at rank 1"):
+            hill_estimate(series, TailSpec.parse(window))
+
+
 # ---------------------------------------------------------------------------
 # time series
 # ---------------------------------------------------------------------------

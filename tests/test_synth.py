@@ -145,6 +145,10 @@ def test_sampler_validation():
         gen_pareto_sample(0.0, 1.0, 10)
     with pytest.raises(ValidationError):
         gen_pareto_sample(2.0, 1.0, 0)
+    # The rules of ParetoSize: a nan exponent would draw only nan, an infinite one only xmin.
+    for mu, xmin in ((float("nan"), 1.0), (float("inf"), 1.0), (2.0, float("inf"))):
+        with pytest.raises(ValidationError, match="must be a finite number"):
+            gen_pareto_sample(mu, xmin, 10)
 
 
 # ---------------------------------------------------------------------------
